@@ -2,19 +2,22 @@
 # Tier-1 verification, as CI runs it: configure with warnings-as-errors,
 # build everything (library, tests, benches, examples), run ctest, then
 # smoke-run bench_parallel at a tiny scale so the bench binary and its
-# BENCH_parallel.json emitter cannot bitrot. A second build under
-# ThreadSanitizer reruns the concurrency-labelled test subset (morsel
-# scheduler, staged/overlapped apply, incremental staged delta apply,
-# storage epoch fence).
+# BENCH_parallel.json emitter cannot bitrot. A Debug build under
+# AddressSanitizer + UndefinedBehaviorSanitizer then reruns the full ctest
+# with every assert live, and a build under ThreadSanitizer reruns the
+# concurrency-labelled test subset (morsel scheduler, staged/overlapped
+# apply, incremental staged delta apply, storage epoch fence).
 #
-# Env knobs: TPSET_TSAN_ONLY=1 runs just the TSan stage (the dedicated CI
-# job); TPSET_SKIP_TSAN=1 skips it (the main job, which runs everything
-# else).
+# Usage: scripts/ci.sh [main|asan|tsan] runs just that stage (the dedicated
+# CI jobs); with no argument every stage runs. Any other argument is an
+# error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+STAGE="${1:-all}"
 BUILD_DIR="${BUILD_DIR:-build-ci}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
+ASAN_BUILD_DIR=build-asan
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 run_tsan() {
@@ -27,10 +30,29 @@ run_tsan() {
   echo "tsan concurrency suite OK"
 }
 
-if [[ "${TPSET_TSAN_ONLY:-0}" == "1" ]]; then
-  run_tsan
-  exit 0
-fi
+run_asan() {
+  # Debug (asserts live: the engine's preconditions are checked, not
+  # compiled out; libstdc++ bounds-checks its containers too) under ASan +
+  # UBSan over the whole suite. UBSan findings abort instead of printing
+  # and continuing, and ASan's leak checker runs at exit, so any sanitizer
+  # report fails its test.
+  local flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+  flags+=" -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
+  cmake -B "$ASAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="$flags" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
+  UBSAN_OPTIONS=print_stacktrace=1 \
+    ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$JOBS"
+  echo "debug asan/ubsan suite OK"
+}
+
+case "$STAGE" in
+  main|all) ;;
+  asan) run_asan; exit 0 ;;
+  tsan) run_tsan; exit 0 ;;
+  *) echo "usage: scripts/ci.sh [main|asan|tsan]" >&2; exit 2 ;;
+esac
 
 cmake -B "$BUILD_DIR" -S . -DTPSET_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -192,6 +214,7 @@ print("snapshot mixed read/write gate OK")
 EOF
 echo "bench_storage smoke OK"
 
-if [[ "${TPSET_SKIP_TSAN:-0}" != "1" ]]; then
+if [[ "$STAGE" == "all" ]]; then
+  run_asan
   run_tsan
 fi

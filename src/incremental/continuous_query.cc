@@ -14,6 +14,10 @@ namespace tpset {
 
 namespace {
 
+// Fact ranges per pool thread when an operator applies a delta in parallel:
+// oversubscription so straggler facts even out.
+constexpr std::size_t kFactRangesPerThread = 2;
+
 // Deep copy of a query tree (ContinuousQuery keeps its own).
 QueryPtr CloneQuery(const QueryNode& q) {
   if (q.kind == QueryNode::Kind::kRelation) {
@@ -99,6 +103,8 @@ LawaStats DiffStats(const LawaStats& after, const LawaStats& before) {
   d.runs_merged = after.runs_merged - before.runs_merged;
   d.tuples_retired = after.tuples_retired - before.tuples_retired;
   d.tail_hits = after.tail_hits - before.tail_hits;
+  d.sweeps_scalar = after.sweeps_scalar - before.sweeps_scalar;
+  d.sweeps_columnar = after.sweeps_columnar - before.sweeps_columnar;
   return d;
 }
 
@@ -117,9 +123,6 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Compile(
   cq->options_ = options;
   cq->pool_ = pool;
   if (cq->options_.num_threads == 0) cq->options_.num_threads = 1;
-  if (cq->options_.partitions_per_thread == 0) {
-    cq->options_.partitions_per_thread = 1;
-  }
   assert((cq->options_.num_threads <= 1 || pool != nullptr) &&
          "parallel continuous queries need the shared pool");
 
@@ -187,7 +190,7 @@ int ContinuousQuery::CompileNode(
     node.right = CompileNode(*q.right, resolve, memo, status);
     if (!status->ok()) return -1;
     node.op = q.op;
-    node.state = std::make_unique<IncrementalSetOp>(q.op, options_.sweep_kernel);
+    node.state = std::make_unique<IncrementalSetOp>(q.op);
   }
   const int index = static_cast<int>(nodes_.size());
   nodes_.push_back(std::move(node));
@@ -200,8 +203,7 @@ TupleDelta ContinuousQuery::Propagate(
     obs::Span* span) {
   ThreadPool* pool = options_.num_threads > 1 ? pool_ : nullptr;
   const std::size_t max_groups =
-      pool != nullptr ? options_.num_threads * options_.partitions_per_thread
-                      : 0;
+      pool != nullptr ? options_.num_threads * kFactRangesPerThread : 0;
 
   // Interior deltas are owned; leaf slots alias the caller's (shared) maps.
   static const DeltaMap kEmpty;

@@ -43,14 +43,6 @@ struct ContinuousOptions {
   /// cells in fact order (deterministic; same tuples, probability-equal
   /// lineage — the staged-apply contract, see DESIGN.md).
   std::size_t num_threads = 1;
-
-  /// Fact-range oversubscription per thread, so straggler facts even out.
-  std::size_t partitions_per_thread = 2;
-
-  /// Sweep kernel for the per-fact applies (set_ops.h SweepKernel). kAuto
-  /// resolves per apply on the tuples actually swept, so small per-epoch
-  /// deltas stay scalar while bulk resweeps/catch-ups go columnar.
-  SweepKernel sweep_kernel = SweepKernel::kAuto;
 };
 
 /// A registered continuous query. Created by QueryExecutor::RegisterContinuous;

@@ -6,30 +6,13 @@
 #include <tuple>
 #include <utility>
 
-#include "lawa/columnar_advancer.h"
+#include "lawa/sweep.h"
 #include "parallel/partition.h"
 #include "parallel/scheduler.h"
-#include "relation/columnar.h"
 
 namespace tpset {
 
 namespace {
-
-// Concatenates one surviving window's lineage pair per the operation's
-// Table I function. Sink is LineageManager or StagingArena — both expose
-// the same null-aware Concat* interface.
-template <typename Sink>
-LineageId Concat(SetOpKind op, Sink& sink, LineageId lr, LineageId ls) {
-  switch (op) {
-    case SetOpKind::kIntersect:
-      return sink.ConcatAnd(lr, ls);
-    case SetOpKind::kUnion:
-      return sink.ConcatOr(lr, ls);
-    case SetOpKind::kExcept:
-      return sink.ConcatAndNot(lr, ls);
-  }
-  return kNullLineage;
-}
 
 // True iff `d` (possibly null) appends to `side` in time order: inserted
 // tuples start at or after the side's last stored end (duplicate-freeness-
@@ -116,35 +99,13 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
       st.out.push_back({w.t, w.lr, w.ls, lin});
       res.delta.inserted.push_back({fact, w.t, lin});
     };
-    // Kernel choice on the *unswept suffix* — the work a resume actually
-    // does — so O(delta) resumes stay O(delta): the columnar path projects
-    // only the suffix past the checkpoint cursors and shifts the cursors
-    // into / out of suffix space around the sweep.
-    const SweepKernel resolved = ResolveSweepKernel(
-        kernel_, (st.r.size() - st.ckpt.ri) + (st.s.size() - st.ckpt.si));
-    if (resolved == SweepKernel::kColumnar) {
-      const std::size_t base_r = st.ckpt.ri;
-      const std::size_t base_s = st.ckpt.si;
-      ColumnarView rview, sview;
-      rview.Build(st.r.data() + base_r, st.r.size() - base_r);
-      sview.Build(st.s.data() + base_s, st.s.size() - base_s);
-      ColumnarAdvancer adv(rview.Columns(), sview.Columns());
-      AdvancerCheckpoint ck = st.ckpt;
-      ck.ri -= base_r;
-      ck.si -= base_s;
-      adv.Restore(ck);
-      adv.Sweep(op_, emit);
-      st.ckpt = adv.Checkpoint();
-      st.ckpt.ri += base_r;
-      st.ckpt.si += base_s;
-      res.columnar = true;
-    } else {
-      LineageAwareWindowAdvancer adv(st.r.data(), st.r.size(), st.s.data(),
-                                     st.s.size());
-      adv.Restore(st.ckpt);
-      ForEachSurvivingWindow(op_, adv, emit);
-      st.ckpt = adv.Checkpoint();
-    }
+    // The kernel rule counts the *unswept suffix* — the work a resume
+    // actually does — and a columnar resume projects only that suffix, so
+    // O(delta) resumes stay O(delta).
+    res.columnar = SweepsColumnar((st.r.size() - st.ckpt.ri) +
+                                  (st.s.size() - st.ckpt.si));
+    SweepWindows(op_, res.columnar, {st.r.data(), st.r.size(), std::nullopt},
+                 {st.s.data(), st.s.size(), std::nullopt}, &st.ckpt, emit);
     res.windows_produced = st.ckpt.windows_produced - windows_before;
     res.resumed = true;
     return res;
@@ -166,24 +127,11 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
     fresh.push_back({w.t, w.lr, w.ls});
   };
   AdvancerCheckpoint swept_ckpt;
-  const SweepKernel resolved =
-      ResolveSweepKernel(kernel_, st.r.size() + st.s.size());
-  if (resolved == SweepKernel::kColumnar) {
-    ColumnarView rview, sview;
-    rview.Build(st.r.data(), st.r.size());
-    sview.Build(st.s.data(), st.s.size());
-    ColumnarAdvancer adv(rview.Columns(), sview.Columns());
-    adv.Sweep(op_, fresh_emit);
-    res.windows_produced = adv.windows_produced();
-    swept_ckpt = adv.Checkpoint();
-    res.columnar = true;
-  } else {
-    LineageAwareWindowAdvancer adv(st.r.data(), st.r.size(), st.s.data(),
-                                   st.s.size());
-    ForEachSurvivingWindow(op_, adv, fresh_emit);
-    res.windows_produced = adv.windows_produced();
-    swept_ckpt = adv.Checkpoint();
-  }
+  res.columnar = SweepsColumnar(st.r.size() + st.s.size());
+  SweepWindows(op_, res.columnar, {st.r.data(), st.r.size(), std::nullopt},
+               {st.s.data(), st.s.size(), std::nullopt}, &swept_ckpt,
+               fresh_emit);
+  res.windows_produced = swept_ckpt.windows_produced;
 
   auto key_old = [](const OutTuple& o) {
     return std::make_tuple(o.t.start, o.t.end, o.lr, o.ls);
@@ -241,9 +189,7 @@ void IncrementalSetOp::Fold(const FactApplyResult& res) {
   } else {
     ++stats_.facts_reswept;
   }
-  NoteSweepKernels(
-      res.columnar ? SweepKernel::kColumnar : SweepKernel::kScalar, 1,
-      &stats_);
+  NoteSweeps(res.columnar, 1, &stats_);
   accumulated_ += res.delta.inserted.size();
   accumulated_ -= res.delta.retracted.size();
   stats_.output_tuples = accumulated_;

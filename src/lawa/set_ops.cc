@@ -4,10 +4,8 @@
 #include <cassert>
 #include <cstdint>
 
-#include "lawa/advancer.h"
-#include "lawa/columnar_advancer.h"
+#include "lawa/sweep.h"
 #include "obs/metrics.h"
-#include "relation/columnar.h"
 #include "relation/validate.h"
 
 namespace tpset {
@@ -107,22 +105,8 @@ void SortTuples(std::vector<TpTuple>* tuples, SortMode mode) {
   }
 }
 
-const char* SweepKernelName(SweepKernel kernel) {
-  switch (kernel) {
-    case SweepKernel::kAuto:
-      return "auto";
-    case SweepKernel::kScalar:
-      return "scalar";
-    case SweepKernel::kColumnar:
-      return "columnar";
-  }
-  return "unknown";
-}
-
-void NoteSweepKernels(SweepKernel resolved, std::size_t count,
-                      LawaStats* stats) {
+void NoteSweeps(bool columnar, std::size_t count, LawaStats* stats) {
   if (count == 0) return;
-  assert(resolved != SweepKernel::kAuto && "record the resolved kernel");
   static obs::Counter& scalar_sweeps =
       obs::MetricsRegistry::Global().GetCounter(
           "tpset_lawa_sweep_kernel_scalar_total",
@@ -131,7 +115,7 @@ void NoteSweepKernels(SweepKernel resolved, std::size_t count,
       obs::MetricsRegistry::Global().GetCounter(
           "tpset_lawa_sweep_kernel_columnar_total",
           "LAWA sweeps run by the columnar (SoA) kernel");
-  if (resolved == SweepKernel::kColumnar) {
+  if (columnar) {
     columnar_sweeps.Increment(count);
     if (stats != nullptr) stats->sweeps_columnar += count;
   } else {
@@ -141,8 +125,7 @@ void NoteSweepKernels(SweepKernel resolved, std::size_t count,
 }
 
 TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
-                     SortMode sort_mode, LawaStats* stats,
-                     SweepKernel kernel) {
+                     SortMode sort_mode, LawaStats* stats) {
   assert(ValidateSetOpInputs(r, s).ok());
   LineageManager& mgr = r.context()->lineage();
   TpRelation out(r.context(), r.schema(),
@@ -171,53 +154,23 @@ TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
   }
 
   // Steps 2-4: advance windows; filter on (λr, λs); concatenate lineages.
-  // The drain conditions and λ-filters live in ForEachSurvivingWindow /
-  // ColumnarAdvancer::Sweep, shared with the parallel sweep kernels.
-  auto concat_emit = [&](const LineageAwareWindow& w) {
-    LineageId lineage = kNullLineage;
-    switch (op) {
-      case SetOpKind::kIntersect:
-        lineage = mgr.ConcatAnd(w.lr, w.ls);
-        break;
-      case SetOpKind::kUnion:
-        lineage = mgr.ConcatOr(w.lr, w.ls);
-        break;
-      case SetOpKind::kExcept:
-        lineage = mgr.ConcatAndNot(w.lr, w.ls);
-        break;
-    }
-    out.AddDerived(w.fact, w.t, lineage);
-  };
-  const SweepKernel resolved = ResolveSweepKernel(kernel, rv->size() + sv->size());
-  std::size_t windows = 0;
-  if (resolved == SweepKernel::kColumnar) {
-    // Witnessed inputs reuse the relation's cached SoA view; a locally
-    // sorted copy gets a local projection for the duration of the sweep.
-    ColumnarView local_r, local_s;
-    ColumnSpan rc, sc;
-    if (r.known_sorted()) {
-      rc = r.columnar();
-    } else {
-      local_r.Build(rv->data(), rv->size());
-      rc = local_r.Columns();
-    }
-    if (s.known_sorted()) {
-      sc = s.columnar();
-    } else {
-      local_s.Build(sv->data(), sv->size());
-      sc = local_s.Columns();
-    }
-    ColumnarAdvancer adv(rc, sc);
-    adv.Sweep(op, concat_emit);
-    windows = adv.windows_produced();
-  } else {
-    LineageAwareWindowAdvancer adv(*rv, *sv);
-    ForEachSurvivingWindow(op, adv, concat_emit);
-    windows = adv.windows_produced();
+  // Witnessed inputs lend their cached SoA view to a columnar sweep; a
+  // locally sorted copy gets a local projection inside SweepWindows.
+  const bool columnar = SweepsColumnar(rv->size() + sv->size());
+  SweepInput r_in{rv->data(), rv->size(), std::nullopt};
+  SweepInput s_in{sv->data(), sv->size(), std::nullopt};
+  if (columnar) {
+    if (r.known_sorted()) r_in.columns = r.columnar();
+    if (s.known_sorted()) s_in.columns = s.columnar();
   }
-  NoteSweepKernels(resolved, 1, stats);
+  AdvancerCheckpoint ckpt;
+  SweepWindows(op, columnar, r_in, s_in, &ckpt,
+               [&](const LineageAwareWindow& w) {
+                 out.AddDerived(w.fact, w.t, Concat(op, mgr, w.lr, w.ls));
+               });
+  NoteSweeps(columnar, 1, stats);
   if (stats != nullptr) {
-    stats->windows_produced = windows;
+    stats->windows_produced = ckpt.windows_produced;
     stats->output_tuples = out.size();
     stats->sort_skipped = sort_skipped;
   }

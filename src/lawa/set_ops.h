@@ -17,29 +17,6 @@ namespace tpset {
 /// (radix) sort makes the whole operation linear when applicable.
 enum class SortMode { kComparison = 0, kCounting = 1 };
 
-/// Which sweep kernel runs the LAWA advance loop. kScalar is the reference
-/// tuple-at-a-time advancer (lawa/advancer.h); kColumnar is the fused SoA
-/// kernel (lawa/columnar_advancer.h) — identical window stream, kept
-/// switchable for A/B benchmarking and differential testing. kAuto picks
-/// columnar above kColumnarAutoThreshold combined input tuples and scalar
-/// below it (tiny sweeps — the incremental engine's per-fact states — don't
-/// amortize a column build).
-enum class SweepKernel { kAuto = 0, kScalar = 1, kColumnar = 2 };
-
-/// kAuto cutover point, in combined input tuples (nr + ns).
-inline constexpr std::size_t kColumnarAutoThreshold = 64;
-
-/// The concrete kernel kAuto resolves to for a sweep of `combined_tuples`.
-inline SweepKernel ResolveSweepKernel(SweepKernel kernel,
-                                      std::size_t combined_tuples) {
-  if (kernel != SweepKernel::kAuto) return kernel;
-  return combined_tuples >= kColumnarAutoThreshold ? SweepKernel::kColumnar
-                                                   : SweepKernel::kScalar;
-}
-
-/// "auto" / "scalar" / "columnar" — flag values and EXPLAIN/bench labels.
-const char* SweepKernelName(SweepKernel kernel);
-
 /// Per-run statistics for complexity checks and benchmarks.
 struct LawaStats {
   std::size_t windows_produced = 0;  ///< candidate windows (Prop. 1 bound)
@@ -52,8 +29,7 @@ struct LawaStats {
 
   // Morsel-scheduler counters (src/parallel/scheduler.h; cumulative for
   // continuous-query operators). Sequential runs leave them zero.
-  /// Morsels executed by the work-stealing batch (= plan size; the legacy
-  /// static mode counts its partitions here).
+  /// Morsels executed by the work-stealing batch (= plan size).
   std::size_t morsels_run = 0;
   /// Morsels a worker took from another worker's deque. The one
   /// scheduling-dependent counter — everything else is deterministic.
@@ -86,18 +62,18 @@ struct LawaStats {
   /// O(1) fact-tail lookups served by the storage tail map.
   std::size_t tail_hits = 0;
 
-  // Sweep-kernel counters (which kernel ran the advance loop). Sequential
-  // runs record 1 sweep; parallel runs one per morsel; incremental runs one
-  // per fact apply. EXPLAIN renders `kernel=` from these.
+  // Sweep-kernel counters (which kernel ran the advance loop; the size rule
+  // of lawa/sweep.h picks it). Sequential runs record 1 sweep; parallel runs one per
+  // morsel; incremental runs one per fact apply. EXPLAIN renders `kernel=`
+  // from these.
   std::size_t sweeps_scalar = 0;
   std::size_t sweeps_columnar = 0;
 };
 
-/// Records `count` sweeps run under `resolved` (a concrete kernel, not
-/// kAuto) into the process metrics (tpset_lawa_sweep_kernel_*_total) and,
-/// if `stats` is non-null, its sweeps_scalar / sweeps_columnar.
-void NoteSweepKernels(SweepKernel resolved, std::size_t count,
-                      LawaStats* stats);
+/// Records `count` sweeps run by the columnar (or scalar) kernel into the
+/// process metrics (tpset_lawa_sweep_kernel_*_total) and, if `stats` is
+/// non-null, its sweeps_columnar (or sweeps_scalar).
+void NoteSweeps(bool columnar, std::size_t count, LawaStats* stats);
 
 /// Computes r opTp s with LAWA. Inputs must satisfy ValidateSetOpInputs
 /// (asserted in debug builds, unchecked in release — use the Checked variant
@@ -111,8 +87,7 @@ void NoteSweepKernels(SweepKernel resolved, std::size_t count,
 /// relations; normalize those with CoalesceEquivalent (algebra/) first.
 TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
                      SortMode sort_mode = SortMode::kComparison,
-                     LawaStats* stats = nullptr,
-                     SweepKernel kernel = SweepKernel::kAuto);
+                     LawaStats* stats = nullptr);
 
 /// Validating wrapper around LawaSetOp.
 Result<TpRelation> LawaSetOpChecked(SetOpKind op, const TpRelation& r,
@@ -137,15 +112,32 @@ inline TpRelation LawaExcept(const TpRelation& r, const TpRelation& s) {
 /// the §VI-B counting-based alternative. Exposed for the ablation bench.
 void SortTuples(std::vector<TpTuple>* tuples, SortMode mode);
 
-/// Drives one advancer sweep for `op`, invoking emit(w) for every window
-/// that survives the per-operation λ-filter (Algorithms 2-4). This is the
-/// single definition of the drain conditions and filters, shared by
-/// sequential LawaSetOp and both parallel sweep kernels — what the emit
-/// callback does with a surviving window (concatenate into the shared
-/// arena, defer, or stage thread-locally) is the only thing that differs
-/// between them. The loop conditions extend the paper's pseudocode to also
-/// drain still-valid tuples (see DESIGN.md, faithfulness note 3): windows
-/// keep coming while the operation can still produce output.
+/// Concatenates one surviving window's lineage pair with the operation's
+/// Table I function. `sink` is the shared LineageManager or a thread-local
+/// StagingArena — both expose the same null-aware Concat* interface.
+template <typename Sink>
+LineageId Concat(SetOpKind op, Sink& sink, LineageId lr, LineageId ls) {
+  switch (op) {
+    case SetOpKind::kIntersect:
+      return sink.ConcatAnd(lr, ls);
+    case SetOpKind::kUnion:
+      return sink.ConcatOr(lr, ls);
+    case SetOpKind::kExcept:
+      return sink.ConcatAndNot(lr, ls);
+  }
+  return kNullLineage;
+}
+
+/// Drives one scalar advancer sweep for `op`, invoking emit(w) for every
+/// window that survives the per-operation λ-filter (Algorithms 2-4). This is
+/// the paper-literal definition of the drain conditions and filters; the
+/// columnar kernel fuses the same loop (ColumnarAdvancer::Sweep), and
+/// SweepWindows (lawa/sweep.h) runs whichever kernel its caller picked.
+/// What the emit callback does with a surviving window (concatenate into
+/// the shared arena, defer, or stage thread-locally) is up to the caller. The loop
+/// conditions extend the paper's pseudocode to also drain still-valid
+/// tuples (see DESIGN.md, faithfulness note 3): windows keep coming while
+/// the operation can still produce output.
 template <typename Emit>
 void ForEachSurvivingWindow(SetOpKind op, LineageAwareWindowAdvancer& adv,
                             Emit&& emit) {

@@ -430,6 +430,11 @@ void HttpServer::AcceptLoop() {
       // Load-shedding at the door: answer 503 without consuming a worker.
       // Observability must not become the DoS vector — beyond the bounded
       // queue, every connection costs one canned write and nothing else.
+      // Counted before the write, so a client that has read its 503 also
+      // sees it in stats().
+      saturated_.fetch_add(1, std::memory_order_relaxed);
+      SaturatedCounter().Increment();
+      ErrorsCounter().Increment();
       static constexpr char k503[] =
           "HTTP/1.1 503 Service Unavailable\r\n"
           "Content-Type: text/plain; charset=utf-8\r\n"
@@ -437,9 +442,6 @@ void HttpServer::AcceptLoop() {
           "server saturated, 503";
       SendAll(conn, k503, sizeof(k503) - 1);
       ::close(conn);
-      saturated_.fetch_add(1, std::memory_order_relaxed);
-      SaturatedCounter().Increment();
-      ErrorsCounter().Increment();
       continue;
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);

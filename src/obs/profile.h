@@ -12,10 +12,9 @@
 // morsel result slots). Rendering/serialization must wait for the execution
 // to finish.
 //
-// PhaseTimings (parallel/parallel_set_op.h) is now a thin adapter over this
-// span tree: the engine records sort/split/advance/apply as child spans and
-// PhaseTimings::FromSpan extracts the same four walls for callers (benches)
-// that want plain numbers.
+// The parallel engine records its sort/split/advance/apply phases as child
+// spans of each operator span; EXPLAIN and the benches read the four walls
+// from there (Span::FindChild).
 #ifndef TPSET_OBS_PROFILE_H_
 #define TPSET_OBS_PROFILE_H_
 

@@ -7,8 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "lawa/advancer.h"
-#include "lawa/columnar_advancer.h"
+#include "lawa/sweep.h"
 #include "lineage/staging.h"
 #include "parallel/partition.h"
 #include "parallel/scheduler.h"
@@ -25,143 +24,52 @@ double MsSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-// A window that passed the per-operation λ-filter but whose lineage
-// concatenation is deferred to the sequential apply phase.
-struct PendingWindow {
-  FactId fact;
-  Interval t;
-  LineageId lr;
-  LineageId ls;
-};
-
-struct PartitionSweep {
-  std::vector<PendingWindow> windows;
+// Phase-3 result of one morsel under ApplyMode::kBitIdentical: the windows
+// that passed the per-operation λ-filter, their lineage concatenation
+// deferred to the sequential apply phase.
+struct PendingSweep {
+  struct Window {
+    FactId fact;
+    Interval t;
+    LineageId lr;
+    LineageId ls;
+  };
+  std::vector<Window> windows;
   std::size_t windows_produced = 0;
+
+  void Add(SetOpKind, const LineageAwareWindow& w) {
+    windows.push_back({w.fact, w.t, w.lr, w.ls});
+  }
 };
 
-// Phase 3: the sequential advancer over one partition, deferring the
-// concatenations as pending windows. Drain conditions and λ-filters are
-// shared with LawaSetOp via ForEachSurvivingWindow — bit-identity depends
-// on them agreeing, and the cross-check is the parallel_set_op_test
-// property suite. Reads shared data only.
-PartitionSweep SweepPartition(SetOpKind op, const TpTuple* r, std::size_t nr,
-                              const TpTuple* s, std::size_t ns) {
-  PartitionSweep out;
-  LineageAwareWindowAdvancer adv(r, nr, s, ns);
-  ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
-    out.windows.push_back({w.fact, w.t, w.lr, w.ls});
-  });
-  out.windows_produced = adv.windows_produced();
-  return out;
-}
-
-// The same deferred sweep on the columnar kernel: a morsel is a column
-// sub-span of the shared SoA view, the fused advance loop replaces the
-// per-window Next() calls. Window stream identical to SweepPartition.
-PartitionSweep SweepPartitionColumnar(SetOpKind op, ColumnSpan r,
-                                      ColumnSpan s) {
-  PartitionSweep out;
-  ColumnarAdvancer adv(r, s);
-  adv.Sweep(op, [&](const LineageAwareWindow& w) {
-    out.windows.push_back({w.fact, w.t, w.lr, w.ls});
-  });
-  out.windows_produced = adv.windows_produced();
-  return out;
-}
-
-// Phase 4 kernel: one partition's deferred concatenations, in window order.
-void ApplyPartition(SetOpKind op, const PartitionSweep& sweep,
-                    LineageManager& mgr, TpRelation* out) {
-  for (const PendingWindow& w : sweep.windows) {
-    LineageId lineage = kNullLineage;
-    switch (op) {
-      case SetOpKind::kIntersect:
-        lineage = mgr.ConcatAnd(w.lr, w.ls);
-        break;
-      case SetOpKind::kUnion:
-        lineage = mgr.ConcatOr(w.lr, w.ls);
-        break;
-      case SetOpKind::kExcept:
-        lineage = mgr.ConcatAndNot(w.lr, w.ls);
-        break;
-    }
-    out->AddDerived(w.fact, w.t, lineage);
-  }
-}
-
-// One partition's result under ApplyMode::kStaged: output tuples whose
-// lineage ids may be partition-local (>= arena.frozen_size()), resolved at
-// splice time. Default-constructible so a morsel batch can pre-size its
-// result slots; workers move the real sweep in.
+// Phase-3 result of one morsel under ApplyMode::kStaged: output tuples
+// whose lineage was interned on the pool thread into a thread-local staging
+// arena; ids >= arena.frozen_size() are morsel-local, resolved at splice
+// time. Default-constructible so the batch can pre-size its result slots.
 struct StagedSweep {
   StagingArena arena{2, false};
   std::vector<TpTuple> tuples;
   std::size_t windows_produced = 0;
+
+  void Add(SetOpKind op, const LineageAwareWindow& w) {
+    tuples.push_back({w.fact, w.t, Concat(op, arena, w.lr, w.ls)});
+  }
 };
 
-// Staged phase 3: the same shared sweep, but the lineage concatenations run
-// here, on the pool thread, into a thread-local staging arena instead of
-// being deferred to a serialized apply phase.
-StagedSweep SweepPartitionStaged(SetOpKind op, const TpTuple* r, std::size_t nr,
-                                 const TpTuple* s, std::size_t ns,
-                                 LineageId frozen, bool hash_consing) {
-  StagedSweep out{StagingArena(frozen, hash_consing), {}, 0};
-  LineageAwareWindowAdvancer adv(r, nr, s, ns);
-  ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
-    LineageId lineage = kNullLineage;
-    switch (op) {
-      case SetOpKind::kIntersect:
-        lineage = out.arena.ConcatAnd(w.lr, w.ls);
-        break;
-      case SetOpKind::kUnion:
-        lineage = out.arena.ConcatOr(w.lr, w.ls);
-        break;
-      case SetOpKind::kExcept:
-        lineage = out.arena.ConcatAndNot(w.lr, w.ls);
-        break;
-    }
-    out.tuples.push_back({w.fact, w.t, lineage});
-  });
-  out.windows_produced = adv.windows_produced();
-  return out;
-}
-
-// Staged sweep on the columnar kernel (concatenations interned into the
-// thread-local staging arena, as in SweepPartitionStaged).
-StagedSweep SweepPartitionStagedColumnar(SetOpKind op, ColumnSpan r,
-                                         ColumnSpan s, LineageId frozen,
-                                         bool hash_consing) {
-  StagedSweep out{StagingArena(frozen, hash_consing), {}, 0};
-  ColumnarAdvancer adv(r, s);
-  adv.Sweep(op, [&](const LineageAwareWindow& w) {
-    LineageId lineage = kNullLineage;
-    switch (op) {
-      case SetOpKind::kIntersect:
-        lineage = out.arena.ConcatAnd(w.lr, w.ls);
-        break;
-      case SetOpKind::kUnion:
-        lineage = out.arena.ConcatOr(w.lr, w.ls);
-        break;
-      case SetOpKind::kExcept:
-        lineage = out.arena.ConcatAndNot(w.lr, w.ls);
-        break;
-    }
-    out.tuples.push_back({w.fact, w.t, lineage});
-  });
-  out.windows_produced = adv.windows_produced();
-  return out;
+// Phase 3 for one morsel: the shared sweep (lawa/sweep.h — the same drain
+// conditions and λ-filters as LawaSetOp, which bit-identity depends on;
+// the cross-check is the parallel_set_op_test property suite), collected
+// into the result's sink. Reads shared data only.
+template <typename Sweep>
+void SweepMorsel(SetOpKind op, bool columnar, const SweepInput& r,
+                 const SweepInput& s, Sweep* out) {
+  AdvancerCheckpoint ckpt;
+  SweepWindows(op, columnar, r, s, &ckpt,
+               [&](const LineageAwareWindow& w) { out->Add(op, w); });
+  out->windows_produced = ckpt.windows_produced;
 }
 
 }  // namespace
-
-PhaseTimings PhaseTimings::FromSpan(const obs::Span& span) {
-  PhaseTimings t;
-  if (const obs::Span* c = span.FindChild("sort")) t.sort_ms = c->wall_ms;
-  if (const obs::Span* c = span.FindChild("split")) t.split_ms = c->wall_ms;
-  if (const obs::Span* c = span.FindChild("advance")) t.advance_ms = c->wall_ms;
-  if (const obs::Span* c = span.FindChild("apply")) t.apply_ms = c->wall_ms;
-  return t;
-}
 
 void ParallelSortBatch(std::vector<TpTuple>* const* arrays, std::size_t count,
                        SortMode mode, ThreadPool* pool) {
@@ -245,17 +153,12 @@ void ParallelSortTuples(std::vector<TpTuple>* tuples, SortMode mode,
 
 ParallelSetOpAlgorithm::ParallelSetOpAlgorithm(std::size_t num_threads,
                                                SortMode sort_mode,
-                                               std::size_t partitions_per_thread,
                                                ApplyMode apply_mode,
-                                               MorselOptions morsel,
-                                               SweepKernel kernel)
+                                               std::size_t morsel_size)
     : num_threads_(num_threads),
       sort_mode_(sort_mode),
-      partitions_per_thread_(
-          partitions_per_thread == 0 ? 1 : partitions_per_thread),
       apply_mode_(apply_mode),
-      morsel_(morsel),
-      kernel_(kernel) {}
+      morsel_size_(morsel_size) {}
 
 ParallelSetOpAlgorithm::~ParallelSetOpAlgorithm() = default;
 
@@ -269,20 +172,6 @@ ThreadPool* ParallelSetOpAlgorithm::pool() const {
 TpRelation ParallelSetOpAlgorithm::Compute(SetOpKind op, const TpRelation& r,
                                            const TpRelation& s) const {
   return ComputeSequenced(op, r, s, /*seq=*/nullptr, /*ticket=*/0);
-}
-
-TpRelation ParallelSetOpAlgorithm::ComputeTimed(SetOpKind op,
-                                                const TpRelation& r,
-                                                const TpRelation& s,
-                                                PhaseTimings* timings,
-                                                LawaStats* stats) const {
-  // Thin adapter: the span records the phases, FromSpan projects them back.
-  obs::Span span;
-  span.name = SetOpName(op);
-  TpRelation out =
-      ComputeSequenced(op, r, s, /*seq=*/nullptr, /*ticket=*/0, stats, &span);
-  if (timings != nullptr) *timings = PhaseTimings::FromSpan(span);
-  return out;
 }
 
 TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
@@ -300,7 +189,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
     turn.Wait();
     Clock::time_point t0 = Clock::now();
     LawaStats local_stats;
-    TpRelation out = LawaSetOp(op, r, s, sort_mode_, &local_stats, kernel_);
+    TpRelation out = LawaSetOp(op, r, s, sort_mode_, &local_stats);
     if (span != nullptr) {
       // The sequential algorithm interleaves all phases; report its whole
       // wall time as the sweep.
@@ -366,17 +255,10 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   // staged cells may reference — without touching the (possibly
   // concurrently growing) arena itself.
   const std::vector<FactPartition> parts = PartitionByFactRange(
-      rdata, rn, sdata, sn, num_threads_ * partitions_per_thread_);
-  MorselPlan plan;
-  if (morsel_.enabled) {
-    std::size_t budget = morsel_.morsel_size;
-    if (budget == 0) {
-      budget = MorselAutoBudget(rn + sn, num_threads_, partitions_per_thread_);
-    }
-    plan = BuildMorsels(rdata, sdata, parts, budget);
-  } else {
-    plan.morsels = parts;
-  }
+      rdata, rn, sdata, sn, num_threads_ * kPartitionsPerThread);
+  const std::size_t budget =
+      morsel_size_ != 0 ? morsel_size_ : MorselAutoBudget(rn + sn, num_threads_);
+  const MorselPlan plan = BuildMorsels(rdata, sdata, parts, budget);
   const std::size_t n_morsels = plan.morsels.size();
   const bool staged = apply_mode_ == ApplyMode::kStaged;
   LineageId frozen = 2;  // constants stay below the snapshot
@@ -397,14 +279,13 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   double split_ms = MsSince(t0);
   t0 = Clock::now();
 
-  // Sweep-kernel resolution (once per operation, on the combined input
-  // size). Under kColumnar, witnessed inputs reuse the relation's cached
-  // SoA view and locally sorted copies get local projections; the builds
-  // count into advance_ms — they are work the columnar kernel needs. The
-  // local views outlive every morsel sweep (WaitMorsel/WaitAll below
-  // complete before they leave scope).
-  const SweepKernel resolved = ResolveSweepKernel(kernel_, rn + sn);
-  const bool columnar = resolved == SweepKernel::kColumnar;
+  // The sweep kernel is picked once per operation, on the combined input
+  // size (lawa/sweep.h). Columnar morsels sweep slices of one shared SoA
+  // view: witnessed inputs lend the relation's cached view, locally sorted
+  // copies get a local projection. The builds count into advance_ms — they
+  // are work the columnar kernel needs. The local views outlive every
+  // morsel sweep (the batch completes before they leave scope).
+  const bool columnar = SweepsColumnar(rn + sn);
   ColumnarView local_rview, local_sview;
   ColumnSpan rcols, scols;
   if (columnar) {
@@ -421,70 +302,54 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
       scols = local_sview.Columns();
     }
   }
+  auto morsel_input = [columnar](const TpTuple* data, const ColumnSpan& cols,
+                                 std::size_t begin, std::size_t end) {
+    SweepInput in{data + begin, end - begin, std::nullopt};
+    if (columnar) in.columns = cols.Slice(begin, end);
+    return in;
+  };
 
   // Phase 3: sweep morsels on the work-stealing batch; each result lands in
   // its own slot, so the apply below can consume them strictly in morsel
   // index order regardless of which worker ran what. In staged mode the
   // sweeps also intern their concatenations thread-locally and build
   // morsel-local output tuples.
-  std::vector<PartitionSweep> results;
+  std::vector<PendingSweep> pending;
   std::vector<StagedSweep> staged_results;
-  std::function<void(std::size_t)> body;
   if (staged) {
     staged_results.resize(n_morsels);
-    if (columnar) {
-      body = [op, rcols, scols, frozen, hash_consing, &plan,
-              &staged_results](std::size_t i) {
-        const FactPartition& part = plan.morsels[i];
-        staged_results[i] = SweepPartitionStagedColumnar(
-            op, rcols.Slice(part.r_begin, part.r_end),
-            scols.Slice(part.s_begin, part.s_end), frozen, hash_consing);
-      };
-    } else {
-      body = [op, rdata, sdata, frozen, hash_consing, &plan,
-              &staged_results](std::size_t i) {
-        const FactPartition& part = plan.morsels[i];
-        staged_results[i] = SweepPartitionStaged(
-            op, rdata + part.r_begin, part.r_end - part.r_begin,
-            sdata + part.s_begin, part.s_end - part.s_begin, frozen,
-            hash_consing);
-      };
-    }
   } else {
-    results.resize(n_morsels);
-    if (columnar) {
-      body = [op, rcols, scols, &plan, &results](std::size_t i) {
-        const FactPartition& part = plan.morsels[i];
-        results[i] =
-            SweepPartitionColumnar(op, rcols.Slice(part.r_begin, part.r_end),
-                                   scols.Slice(part.s_begin, part.s_end));
-      };
-    } else {
-      body = [op, rdata, sdata, &plan, &results](std::size_t i) {
-        const FactPartition& part = plan.morsels[i];
-        results[i] = SweepPartition(op, rdata + part.r_begin,
-                                    part.r_end - part.r_begin,
-                                    sdata + part.s_begin,
-                                    part.s_end - part.s_begin);
-      };
-    }
+    pending.resize(n_morsels);
   }
-  // Stealing applies in both scheduler modes: in the legacy static model it
-  // is what the old shared FIFO pool queue provided (any idle worker takes
-  // the next pending partition), so the static baseline stays faithful.
-  MorselBatch batch(p, n_morsels, std::move(body), morsel_.steal);
+  MorselBatch batch(p, n_morsels, [&](std::size_t i) {
+    const FactPartition& part = plan.morsels[i];
+    const SweepInput r_in =
+        morsel_input(rdata, rcols, part.r_begin, part.r_end);
+    const SweepInput s_in =
+        morsel_input(sdata, scols, part.s_begin, part.s_end);
+    if (staged) {
+      StagedSweep sweep{StagingArena(frozen, hash_consing), {}, 0};
+      SweepMorsel(op, columnar, r_in, s_in, &sweep);
+      staged_results[i] = std::move(sweep);
+    } else {
+      SweepMorsel(op, columnar, r_in, s_in, &pending[i]);
+    }
+  });
 
   // Phase 4: the sequential arena-mutating tail, gated when subtrees race.
   // kBitIdentical replays every deferred concatenation; kStaged only
-  // splices pre-interned cells and bulk-appends tuples. With morsel
-  // scheduling the apply overlaps the sweeps: morsel i is applied as soon
-  // as morsels <= i finished, while later morsels are still advancing —
-  // apply order (and therefore the output) is unchanged, only the barrier
-  // is gone. The legacy static mode keeps the barrier for A/B benchmarks.
+  // splices pre-interned cells and bulk-appends tuples. The apply overlaps
+  // the sweeps: morsel i is applied as soon as morsels <= i finished, while
+  // later morsels are still advancing — apply order (and therefore the
+  // output) is unchanged, only the barrier is gone.
   LineageManager& mgr = r.context()->lineage();
   std::size_t total_windows = 0;
   std::vector<LineageId> remap;
-  auto apply_morsel = [&](std::size_t i) {
+  turn.Wait();
+  double apply_ms = 0.0;
+  for (std::size_t i = 0; i < n_morsels; ++i) {
+    batch.WaitMorsel(i);
+    const Clock::time_point a0 = Clock::now();
     if (staged) {
       const StagedSweep& sweep = staged_results[i];
       total_windows += sweep.windows_produced;
@@ -498,46 +363,17 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
         if (lin >= frozen) lin = remap[lin - frozen];
       }
     } else {
-      const PartitionSweep& sweep = results[i];
+      const PendingSweep& sweep = pending[i];
       total_windows += sweep.windows_produced;
-      ApplyPartition(op, sweep, mgr, &out);
+      for (const PendingSweep::Window& w : sweep.windows) {
+        out.AddDerived(w.fact, w.t, Concat(op, mgr, w.lr, w.ls));
+      }
     }
-  };
-
-  double advance_ms, apply_ms;
-  if (!morsel_.enabled) {
-    batch.WaitAll();
-    advance_ms = MsSince(t0);
-    turn.Wait();
-    t0 = Clock::now();
-    // All sizes are known after the barrier: one exact reserve keeps vector
-    // growth out of the sequencer critical section. (The overlapped path
-    // below cannot know the total up front; its growth copies run on the
-    // caller thread while sweeps are still advancing, so they overlap too.)
-    std::size_t total_out = 0;
-    if (staged) {
-      for (const StagedSweep& sweep : staged_results) total_out += sweep.tuples.size();
-    } else {
-      for (const PartitionSweep& sweep : results) total_out += sweep.windows.size();
-    }
-    out.mutable_tuples().reserve(total_out);
-    for (std::size_t i = 0; i < n_morsels; ++i) apply_morsel(i);
-    apply_ms = MsSince(t0);
-  } else {
-    turn.Wait();
-    double apply_work_ms = 0.0;
-    for (std::size_t i = 0; i < n_morsels; ++i) {
-      batch.WaitMorsel(i);
-      Clock::time_point a0 = Clock::now();
-      apply_morsel(i);
-      apply_work_ms += MsSince(a0);
-    }
-    // Overlapped phases: report the splice work as apply and the rest of
-    // the combined span (sweeps + waits) as advance, so the sum still
-    // approximates the phase-3+4 wall time.
-    apply_ms = apply_work_ms;
-    advance_ms = MsSince(t0) - apply_work_ms;
+    apply_ms += MsSince(a0);
   }
+  // Overlapped phases: the splice work is apply, the rest of the combined
+  // span (sweeps + waits) is advance, so the two sum to the phase-3+4 wall.
+  const double advance_ms = MsSince(t0) - apply_ms;
   // Windows come out in fact order with increasing starts per fact.
   out.MarkSortedUnchecked();
   turn.Release();
@@ -549,7 +385,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   local_stats.morsels_run = batch.morsels_run();
   local_stats.morsels_stolen = batch.morsels_stolen();
   local_stats.facts_split = plan.facts_split;
-  NoteSweepKernels(resolved, n_morsels, &local_stats);
+  NoteSweeps(columnar, n_morsels, &local_stats);
   if (stats != nullptr) *stats = local_stats;
   if (span != nullptr) {
     span->AddChild("sort")->wall_ms = sort_ms;
@@ -559,7 +395,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
     span->AttachStats(local_stats);
     span->SetAttr("out", out.size());
     span->SetAttr("morsels", batch.morsels_run());
-    span->SetAttr("kernel", std::string(SweepKernelName(resolved)));
+    span->SetAttr("kernel", std::string(columnar ? "columnar" : "scalar"));
   }
   return out;
 }

@@ -15,12 +15,11 @@
 //                happens to the surviving windows depends on the apply mode
 //                (below);
 //   4. apply   — the sequential, arena-mutating tail, gated by the
-//                ApplySequencer when query subtrees race. With morsel
-//                scheduling enabled the apply overlaps phase 3: morsel i is
-//                applied as soon as morsels <= i finished sweeping, while
-//                later morsels are still advancing — apply *order* (the
-//                determinism invariant) is preserved, barrier completion is
-//                not required.
+//                ApplySequencer when query subtrees race. The apply
+//                overlaps phase 3: morsel i is applied as soon as morsels
+//                <= i finished sweeping, while later morsels are still
+//                advancing — apply *order* (the determinism invariant) is
+//                preserved, barrier completion is not required.
 //
 // Two apply modes trade strictness of the equivalence guarantee for the
 // size of the sequential term:
@@ -54,7 +53,6 @@
 #include "common/setop.h"
 #include "lawa/set_ops.h"
 #include "obs/profile.h"
-#include "parallel/scheduler.h"
 #include "parallel/sequencer.h"
 #include "parallel/thread_pool.h"
 #include "relation/relation.h"
@@ -67,53 +65,21 @@ enum class ApplyMode {
   kStaged = 1,        ///< per-partition staging arenas + sequential splice
 };
 
-/// Wall-clock breakdown of one parallel set operation, phase by phase.
-/// `advance_ms` includes staged-mode lineage staging (it runs inside the
-/// partition sweeps); `apply_ms` is the sequential arena-mutating tail —
-/// the sequencer critical section under concurrent subtree evaluation.
-/// With morsel scheduling enabled, apply overlaps the sweeps: `apply_ms`
-/// is then the time actually spent splicing/replaying and `advance_ms` the
-/// rest of the overlapped span (so the sum still approximates the combined
-/// wall time of phases 3+4).
-///
-/// Since the observability layer (src/obs/), this struct is a *thin
-/// adapter*: the engine records phases as child spans ("sort", "split",
-/// "advance", "apply") of an obs::Span, and FromSpan projects those four
-/// walls back out for callers (benches) that want plain numbers.
-struct PhaseTimings {
-  double sort_ms = 0.0;
-  double split_ms = 0.0;
-  double advance_ms = 0.0;
-  double apply_ms = 0.0;
-
-  double total_ms() const { return sort_ms + split_ms + advance_ms + apply_ms; }
-
-  /// Projects a node span recorded by ComputeSequenced back into the four
-  /// phase walls (a missing child reads as 0).
-  static PhaseTimings FromSpan(const obs::Span& span);
-};
-
 /// LAWA over fact-range partitions on a private thread pool. Registered as
 /// "LAWA-P"; supports all three operations (Table II row of LAWA).
 class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
  public:
   /// `num_threads` <= 1 degrades to plain sequential LawaSetOp (no pool is
   /// created; `apply_mode` is then irrelevant — the sequential algorithm is
-  /// bit-identical by definition). `partitions_per_thread` oversubscribes
-  /// the split so stragglers even out; the pool itself is created lazily on
-  /// first use. `morsel` configures the work-stealing refinement of the
-  /// partition plan (scheduler.h); MorselOptions{.enabled = false} restores
-  /// the legacy one-task-per-partition model with a barrier before apply.
-  /// `kernel` selects the sweep kernel for phase 3 (set_ops.h SweepKernel);
-  /// morsels sweep column sub-spans of one shared SoA view under
-  /// kColumnar. Kernel choice never changes the output — both kernels
-  /// produce the identical window stream.
+  /// bit-identical by definition). The pool itself is created lazily on
+  /// first use. `morsel_size` is the combined (r + s) tuple budget per
+  /// morsel (scheduler.h); 0 picks MorselAutoBudget, 1 is legal (every
+  /// tuple its own morsel — the property tests use it). Morsel granularity
+  /// changes scheduling, never the output.
   explicit ParallelSetOpAlgorithm(std::size_t num_threads,
                                   SortMode sort_mode = SortMode::kComparison,
-                                  std::size_t partitions_per_thread = 4,
                                   ApplyMode apply_mode = ApplyMode::kBitIdentical,
-                                  MorselOptions morsel = {},
-                                  SweepKernel kernel = SweepKernel::kAuto);
+                                  std::size_t morsel_size = 0);
   ~ParallelSetOpAlgorithm() override;
 
   std::string name() const override { return "LAWA-P"; }
@@ -124,11 +90,6 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   /// sequential LawaSetOp.
   TpRelation Compute(SetOpKind op, const TpRelation& r,
                      const TpRelation& s) const override;
-
-  /// Compute with per-phase wall times (and optionally stats) reported.
-  TpRelation ComputeTimed(SetOpKind op, const TpRelation& r,
-                          const TpRelation& s, PhaseTimings* timings,
-                          LawaStats* stats = nullptr) const;
 
   /// Executor entry point for concurrent query-subtree evaluation: phases
   /// 1-3 run immediately, the arena-mutating apply phase waits for `ticket`
@@ -144,7 +105,11 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   /// spans ("sort", "split", "advance", "apply"; the degenerate sequential
   /// path records only "advance" — the whole interleaved wall) and attaches
   /// the LawaStats to `span` itself. The span's own wall/cpu cover the full
-  /// call including sequencer waits.
+  /// call including sequencer waits. Because apply overlaps the sweeps,
+  /// "apply" is the time actually spent splicing/replaying and "advance"
+  /// the rest of the overlapped span (sweeps + waits), so the two still sum
+  /// to the phase-3+4 wall. "advance" includes staged-mode lineage staging
+  /// and any columnar view builds.
   TpRelation ComputeSequenced(SetOpKind op, const TpRelation& r,
                               const TpRelation& s, ApplySequencer* seq,
                               std::size_t ticket, LawaStats* stats = nullptr,
@@ -152,18 +117,14 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
 
   std::size_t num_threads() const { return num_threads_; }
   ApplyMode apply_mode() const { return apply_mode_; }
-  const MorselOptions& morsel_options() const { return morsel_; }
-  SweepKernel sweep_kernel() const { return kernel_; }
 
  private:
   ThreadPool* pool() const;
 
   std::size_t num_threads_;
   SortMode sort_mode_;
-  std::size_t partitions_per_thread_;
   ApplyMode apply_mode_;
-  MorselOptions morsel_;
-  SweepKernel kernel_;
+  std::size_t morsel_size_;
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;
 };

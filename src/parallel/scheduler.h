@@ -55,35 +55,16 @@
 
 namespace tpset {
 
-/// Scheduling knobs of the parallel set-op engine (surface of
-/// ExecOptions{morsel_size, steal} and the algorithm constructor).
-struct MorselOptions {
-  /// false = the legacy static model: one unit per fact-range partition (no
-  /// heavy-fact splitting) and a full barrier before the splice. Units are
-  /// still picked up dynamically (`steal` applies in both modes — with it
-  /// on, an idle worker takes remaining partitions exactly like the old
-  /// shared FIFO pool queue did), so the A/B against morsel mode isolates
-  /// the *splitting + overlap* effect, not a strawman dispatcher. Kept as
-  /// the measurable baseline (bench_parallel A/Bs it under skew).
-  bool enabled = true;
-  /// Combined (r + s) tuple budget per morsel; 0 picks a size that
-  /// oversubscribes the workers ~8x beyond the partition plan
-  /// (MorselAutoBudget). 1 is legal (every tuple its own morsel) — the
-  /// property tests use it.
-  std::size_t morsel_size = 0;
-  /// Allow idle workers to steal from other deques. Off, each worker drains
-  /// only its round-robin share — skew pins again, but the knob isolates the
-  /// stealing effect in benchmarks.
-  bool steal = true;
-};
+/// Fact-range partitions per worker in the parallel engine's split, before
+/// morsel refinement: oversubscription so stragglers even out.
+inline constexpr std::size_t kPartitionsPerThread = 4;
 
-/// The engine's automatic morsel budget for a `total`-tuple operation:
-/// ~8 morsels per partition slot, floored so per-morsel overhead (one
-/// advancer, one staging arena) stays invisible. Shared with bench_parallel
-/// so modeled plans match what the engine executes.
-inline std::size_t MorselAutoBudget(std::size_t total, std::size_t workers,
-                                    std::size_t partitions_per_thread) {
-  const std::size_t slots = workers * partitions_per_thread * 8;
+/// The engine's automatic morsel budget for a `total`-tuple operation on
+/// `workers` threads: ~8 morsels per partition slot, floored so per-morsel
+/// overhead (one advancer, one staging arena) stays invisible. Shared with
+/// bench_parallel so modeled plans match what the engine executes.
+inline std::size_t MorselAutoBudget(std::size_t total, std::size_t workers) {
+  const std::size_t slots = workers * kPartitionsPerThread * 8;
   return std::max<std::size_t>(2048, slots == 0 ? total : total / slots);
 }
 
@@ -130,10 +111,9 @@ MorselPlan BuildMorsels(const TpTuple* r, const TpTuple* s,
 /// caller-owned slots alive, matching std::async semantics).
 class MorselBatch {
  public:
-  /// Starts `count` morsels on min(pool->size(), count) workers. With
-  /// `steal` false, workers drain only their own deque.
+  /// Starts `count` morsels on min(pool->size(), count) workers.
   MorselBatch(ThreadPool* pool, std::size_t count,
-              std::function<void(std::size_t)> body, bool steal = true);
+              std::function<void(std::size_t)> body);
 
   MorselBatch(const MorselBatch&) = delete;
   MorselBatch& operator=(const MorselBatch&) = delete;

@@ -310,34 +310,7 @@ Result<TpRelation> QueryExecutor::Execute(const std::string& query,
 
 Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
                                           const SetOpAlgorithm* algorithm) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  Result<TpRelation> out = ExecuteTree(query, algorithm);
-  RecordQuery(t0, query);
-  return out;
-}
-
-Result<TpRelation> QueryExecutor::ExecuteTree(
-    const QueryNode& query, const SetOpAlgorithm* algorithm) const {
-  if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
-  if (query.kind == QueryNode::Kind::kRelation) {
-    // Leaves read through a refcounted fold of the relation's current
-    // generation: no reference into the catalog entry survives the call, so
-    // concurrent Execute / append / compaction cannot invalidate anything.
-    Result<const StoredRelation*> stored = FindStored(query.relation_name);
-    if (!stored.ok()) return stored.status();
-    const std::shared_ptr<const TpRelation> rel = (*stored)->FoldedView();
-    return *rel;
-  }
-  if (!algorithm->Supports(query.op)) {
-    return Status::NotSupported("algorithm " + algorithm->name() +
-                                " does not support TP set " +
-                                SetOpName(query.op) + " (Table II)");
-  }
-  Result<TpRelation> left = ExecuteTree(*query.left, algorithm);
-  if (!left.ok()) return left;
-  Result<TpRelation> right = ExecuteTree(*query.right, algorithm);
-  if (!right.ok()) return right;
-  return algorithm->Compute(query.op, *left, *right);
+  return Execute(query, ExecOptions{}, algorithm);
 }
 
 Result<TpRelation> QueryExecutor::Execute(const std::string& query,
@@ -353,48 +326,16 @@ Result<TpRelation> QueryExecutor::Execute(const std::string& query,
   return Execute(**parsed, options, algorithm);
 }
 
-Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
-                                          const ExecOptions& options,
-                                          const SetOpAlgorithm* algorithm) const {
-  if (options.num_threads <= 1) {
-    if (options.profile != nullptr) {
-      return ExecuteProfiled(query, options, algorithm);
-    }
-    // A pinned sweep kernel must reach LawaSetOp even without a profile:
-    // route default LAWA through the degenerate (sequential) partitioned
-    // algorithm, which carries the kernel. kAuto keeps the plain path.
-    if (algorithm == nullptr && options.sweep_kernel != SweepKernel::kAuto) {
-      return Execute(query, ParallelAlgoFor(options));
-    }
-    return Execute(query, algorithm);
-  }
-  return ExecuteConcurrent(query, options, algorithm);
-}
-
 const ParallelSetOpAlgorithm* QueryExecutor::ParallelAlgoFor(
     const ExecOptions& options) const {
   std::lock_guard<std::mutex> lock(parallel_mu_);
-  std::unique_ptr<ParallelSetOpAlgorithm>& slot = parallel_algos_[{
-      options.num_threads, options.apply_mode, options.morsel_size,
-      options.steal, options.sweep_kernel}];
+  std::unique_ptr<ParallelSetOpAlgorithm>& slot =
+      parallel_algos_[{options.num_threads, options.apply_mode}];
   if (slot == nullptr) {
-    MorselOptions morsel;
-    morsel.morsel_size = options.morsel_size;
-    morsel.steal = options.steal;
     slot = std::make_unique<ParallelSetOpAlgorithm>(
-        options.num_threads, SortMode::kComparison,
-        /*partitions_per_thread=*/4, options.apply_mode, morsel,
-        options.sweep_kernel);
+        options.num_threads, SortMode::kComparison, options.apply_mode);
   }
   return slot.get();
-}
-
-const ParallelSetOpAlgorithm* QueryExecutor::ParallelAlgoFor(
-    std::size_t num_threads, ApplyMode apply_mode) const {
-  ExecOptions options;
-  options.num_threads = num_threads;
-  options.apply_mode = apply_mode;
-  return ParallelAlgoFor(options);
 }
 
 namespace {
@@ -415,63 +356,73 @@ Status CheckSupported(const QueryNode& q, const SetOpAlgorithm& algorithm) {
 
 }  // namespace
 
-Result<TpRelation> QueryExecutor::ExecuteProfiled(
-    const QueryNode& query, const ExecOptions& options,
-    const SetOpAlgorithm* algorithm) const {
+Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
+                                          const ExecOptions& options,
+                                          const SetOpAlgorithm* algorithm) const {
+  if (options.num_threads > 1) {
+    return ExecuteConcurrent(query, options, algorithm);
+  }
   const auto t0 = std::chrono::steady_clock::now();
-  obs::Span& root = options.profile->root();
-  obs::SpanTimer timer(&root);
+  obs::Span* root =
+      options.profile == nullptr ? nullptr : &options.profile->root();
+  obs::SpanTimer timer(root);
   if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
   // The degenerate (num_threads <= 1) partitioned algorithm *is* sequential
-  // LawaSetOp, and it records its own phase span — route plain LAWA through
-  // it so sequential profiles carry the same sections as parallel ones.
-  const auto* parallel = dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm);
-  if (parallel == nullptr && algorithm->name() == "LAWA") {
-    parallel = ParallelAlgoFor(options);
-    algorithm = parallel;
+  // LawaSetOp, and it records its own phase span — profiled plain LAWA runs
+  // through it so sequential profiles carry the same sections as parallel
+  // ones.
+  if (root != nullptr && algorithm->name() == "LAWA") {
+    algorithm = ParallelAlgoFor(options);
   }
-  {
-    obs::SpanTimer analyze(root.AddChild("analyze"));
-    Status supported = CheckSupported(query, *algorithm);
-    if (!supported.ok()) return supported;
-  }
-  Result<TpRelation> out = ExecuteNode(query, algorithm, parallel, &root);
-  if (out.ok()) root.SetAttr("out", out->size());
+  Result<TpRelation> out = [&]() -> Result<TpRelation> {
+    {
+      obs::SpanTimer analyze(root == nullptr ? nullptr
+                                             : root->AddChild("analyze"));
+      TPSET_RETURN_NOT_OK(CheckSupported(query, *algorithm));
+    }
+    return ExecuteSequential(query, algorithm, root);
+  }();
+  if (root != nullptr && out.ok()) root->SetAttr("out", out->size());
   timer.Stop();
   RecordQuery(t0, query, options.profile);
   return out;
 }
 
-Result<TpRelation> QueryExecutor::ExecuteNode(
+Result<TpRelation> QueryExecutor::ExecuteSequential(
     const QueryNode& node, const SetOpAlgorithm* algorithm,
-    const ParallelSetOpAlgorithm* parallel, obs::Span* span) const {
+    obs::Span* span) const {
   if (node.kind == QueryNode::Kind::kRelation) {
-    obs::Span* child = span->AddChild("relation " + node.relation_name);
+    // Leaves read through a refcounted fold of the relation's current
+    // generation: no reference into the catalog entry survives the call, so
+    // concurrent Execute / append / compaction cannot invalidate anything.
+    obs::Span* child =
+        span == nullptr ? nullptr
+                        : span->AddChild("relation " + node.relation_name);
     obs::SpanTimer timer(child);
     Result<const StoredRelation*> stored = FindStored(node.relation_name);
     if (!stored.ok()) return stored.status();
     const std::shared_ptr<const TpRelation> rel = (*stored)->FoldedView();
     timer.Stop();
-    child->SetAttr("tuples", rel->size());
+    if (child != nullptr) child->SetAttr("tuples", rel->size());
     return *rel;
   }
   // The operator's span holds both its input subtrees and (from the compute
   // below) its phase children; its own wall covers only the compute, like
   // the per-node timings EXPLAIN always reported.
-  obs::Span* child = span->AddChild(SetOpName(node.op));
-  Result<TpRelation> left = ExecuteNode(*node.left, algorithm, parallel, child);
+  obs::Span* child = span == nullptr ? nullptr : span->AddChild(SetOpName(node.op));
+  Result<TpRelation> left = ExecuteSequential(*node.left, algorithm, child);
   if (!left.ok()) return left;
-  Result<TpRelation> right =
-      ExecuteNode(*node.right, algorithm, parallel, child);
+  Result<TpRelation> right = ExecuteSequential(*node.right, algorithm, child);
   if (!right.ok()) return right;
-  if (parallel != nullptr) {
+  if (const auto* parallel =
+          dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm)) {
     return parallel->ComputeSequenced(node.op, *left, *right, /*seq=*/nullptr,
                                       /*ticket=*/0, /*stats=*/nullptr, child);
   }
   obs::SpanTimer timer(child);
   TpRelation out = algorithm->Compute(node.op, *left, *right);
   timer.Stop();
-  child->SetAttr("out", out.size());
+  if (child != nullptr) child->SetAttr("out", out.size());
   return Result<TpRelation>(std::move(out));
 }
 

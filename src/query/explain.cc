@@ -65,14 +65,19 @@ void RenderNode(const obs::Span& span, int depth, std::string* out) {
   for (const auto& child : span.children) {
     if (!child->Attr("kind").empty()) RenderNode(*child, depth + 1, out);
   }
-  const PhaseTimings t = PhaseTimings::FromSpan(span);
+  // Phase walls straight from the child spans ComputeSequenced records (a
+  // missing child — the sequential path records only "advance" — reads 0).
+  auto phase_ms = [&span](const char* phase) {
+    const obs::Span* c = span.FindChild(phase);
+    return c == nullptr ? 0.0 : c->wall_ms;
+  };
   char phases[224];
   std::snprintf(phases, sizeof(phases),
                 ", sort=%.2fms split=%.2fms advance=%.2fms apply=%.2fms"
                 ", morsels=%zu stolen=%zu facts_split=%zu",
-                t.sort_ms, t.split_ms, t.advance_ms, t.apply_ms,
-                span.stats.morsels_run, span.stats.morsels_stolen,
-                span.stats.facts_split);
+                phase_ms("sort"), phase_ms("split"), phase_ms("advance"),
+                phase_ms("apply"), span.stats.morsels_run,
+                span.stats.morsels_stolen, span.stats.facts_split);
   // Which sweep kernel ran this node, from the attached LawaStats (a
   // parallel node sweeps one kernel across all morsels; "mixed" can only
   // appear on aggregated spans, e.g. incremental per-epoch deltas).
@@ -96,20 +101,8 @@ Result<std::string> ExplainInto(const QueryExecutor& exec,
   if (parallel_header) {
     out << "parallel: threads=" << parallel->num_threads() << " apply="
         << (parallel->apply_mode() == ApplyMode::kStaged ? "staged"
-                                                         : "bit-identical");
-    const MorselOptions& morsel = parallel->morsel_options();
-    if (morsel.enabled) {
-      out << " scheduler=morsel(size=";
-      if (morsel.morsel_size == 0) {
-        out << "auto";
-      } else {
-        out << morsel.morsel_size;
-      }
-      out << (morsel.steal ? ", steal" : ", no-steal") << ")";
-    } else {
-      out << " scheduler=static";
-    }
-    out << "\n";
+                                                         : "bit-identical")
+        << "\n";
   }
   obs::Span& root = profile->root();
   obs::SpanTimer timer(&root);

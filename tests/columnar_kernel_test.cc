@@ -1,13 +1,17 @@
 // Differential belt for the columnar SoA sweep kernel: ColumnarAdvancer
 // must be indistinguishable from LineageAwareWindowAdvancer at every
 // observable surface — the window stream (fact, interval, λr, λs in emit
-// order), the final advancer status (AdvancerCheckpoint), the sequential
-// LawaSetOp output (byte-equal, lineage ids included), the parallel
-// bit-identical output across thread counts and morsel sizes, and the
-// incremental engine's accumulated state under forced-kernel continuous
-// queries. Checkpoints are additionally round-tripped across kernels in
-// both directions: state saved by one kernel, restored into the other,
-// must continue the sweep identically.
+// order) and the final advancer status (AdvancerCheckpoint). Checkpoints
+// are additionally round-tripped across kernels in both directions: state
+// saved by one kernel, restored into the other, must continue the sweep
+// identically. The engine paths that pick the columnar kernel by size
+// (lawa/sweep.h) — sequential LawaSetOp and LAWA-P bit-identical across
+// thread counts and morsel sizes — must equal the paper-literal scalar
+// reference (testing::ScalarLawaSetOp) byte for byte, lineage ids included;
+// a columnar resume from a non-zero checkpoint (the incremental engine's
+// bulk catch-up) must continue exactly like the scalar advancer; and a
+// continuous schedule must run both kernels and still fold to a
+// from-scratch Execute.
 //
 // Shapes are the ones that stress distinct kernel paths: zipf and one-hot
 // fact skew (many short groups vs one huge group), all-one-fact (a single
@@ -24,10 +28,13 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "datagen/synthetic.h"
 #include "incremental/continuous_query.h"
+#include "incremental/incremental_set_op.h"
 #include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
 #include "lawa/set_ops.h"
+#include "lawa/sweep.h"
 #include "parallel/parallel_set_op.h"
 #include "query/executor.h"
 #include "relation/columnar.h"
@@ -245,7 +252,7 @@ TEST(ColumnarKernelTest, EmptyAndOneSidedInputs) {
   }
 }
 
-// ---- Sequential LawaSetOp: byte-equal outputs -----------------------------
+// ---- Sequential LawaSetOp: byte-equal to the scalar reference -------------
 
 TEST(ColumnarKernelTest, SequentialLawaByteEqual) {
   for (std::uint64_t seed : testing::PropertySeeds({111, 112})) {
@@ -259,11 +266,12 @@ TEST(ColumnarKernelTest, SequentialLawaByteEqual) {
         std::shared_ptr<TpContext> ctx1, ctx2;
         auto [r1, s1] = FreshPair(shape, seed, &ctx1);
         auto [r2, s2] = FreshPair(shape, seed, &ctx2);
-        TpRelation scalar = LawaSetOp(op, r1, s1, SortMode::kComparison,
-                                      nullptr, SweepKernel::kScalar);
-        TpRelation columnar = LawaSetOp(op, r2, s2, SortMode::kComparison,
-                                        nullptr, SweepKernel::kColumnar);
-        ExpectBitEqual(scalar, columnar, "sequential scalar vs columnar");
+        TpRelation scalar = testing::ScalarLawaSetOp(op, r1, s1);
+        LawaStats stats;
+        TpRelation lawa =
+            LawaSetOp(op, r2, s2, SortMode::kComparison, &stats);
+        EXPECT_EQ(stats.sweeps_columnar, 1u) << "size rule picked scalar";
+        ExpectBitEqual(scalar, lawa, "LawaSetOp vs scalar reference");
       }
     }
   }
@@ -281,24 +289,56 @@ TEST(ColumnarKernelTest, ParallelBitIdenticalByteEqual) {
         SCOPED_TRACE(SetOpName(op));
         std::shared_ptr<TpContext> oracle_ctx;
         auto [ro, so] = FreshPair(shape, seed, &oracle_ctx);
-        TpRelation expected = LawaSetOp(op, ro, so, SortMode::kComparison,
-                                        nullptr, SweepKernel::kScalar);
+        TpRelation expected = testing::ScalarLawaSetOp(op, ro, so);
         for (std::size_t threads : thread_counts) {
           for (std::size_t morsel_size : morsel_sizes) {
             SCOPED_TRACE("threads=" + std::to_string(threads) +
                          " morsel_size=" + std::to_string(morsel_size));
-            MorselOptions morsel;
-            morsel.morsel_size = morsel_size;
-            ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2,
-                                        ApplyMode::kBitIdentical, morsel,
-                                        SweepKernel::kColumnar);
+            ParallelSetOpAlgorithm algo(threads, SortMode::kComparison,
+                                        ApplyMode::kBitIdentical, morsel_size);
             std::shared_ptr<TpContext> ctx;
             auto [r, s] = FreshPair(shape, seed, &ctx);
             TpRelation out = algo.Compute(op, r, s);
-            ExpectBitEqual(out, expected, "columnar parallel vs scalar seq");
+            ExpectBitEqual(out, expected, "LAWA-P vs scalar reference");
           }
         }
       }
+    }
+  }
+}
+
+// LAWA-P/8 bit-identical on a synthetic pair well above the kernel rule's
+// threshold: every morsel sweeps columnar slices of one shared view, and
+// the output must equal the paper-literal scalar reference field for field
+// (fact, interval, lineage id).
+TEST(ColumnarKernelTest, ParallelEightThreadsEqualsScalarReference) {
+  auto make_pair = [](std::shared_ptr<TpContext> ctx) {
+    Rng rng(0x9A7A11E1);
+    SyntheticPairSpec spec = TableIIIPreset(0.6);
+    spec.num_tuples = 4000;
+    spec.num_facts = 8;
+    return GenerateSyntheticPair(std::move(ctx), spec, &rng);
+  };
+  ParallelSetOpAlgorithm algo(8, SortMode::kComparison,
+                              ApplyMode::kBitIdentical);
+  for (SetOpKind op : kAllSetOps) {
+    SCOPED_TRACE(SetOpName(op));
+    auto ref_ctx = std::make_shared<TpContext>();
+    auto ctx = std::make_shared<TpContext>();
+    auto [ro, so] = make_pair(ref_ctx);
+    auto [r, s] = make_pair(ctx);
+    ASSERT_GE(r.size() + s.size(), kColumnarMinTuples);
+    TpRelation expected = testing::ScalarLawaSetOp(op, ro, so);
+    LawaStats stats;
+    TpRelation out = algo.ComputeSequenced(op, r, s, /*seq=*/nullptr,
+                                           /*ticket=*/0, &stats);
+    EXPECT_EQ(stats.sweeps_scalar, 0u);
+    EXPECT_EQ(stats.sweeps_columnar, stats.morsels_run);
+    ASSERT_EQ(out.size(), expected.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i].fact, expected[i].fact) << "tuple " << i;
+      ASSERT_EQ(out[i].t, expected[i].t) << "tuple " << i;
+      ASSERT_EQ(out[i].lineage, expected[i].lineage) << "tuple " << i;
     }
   }
 }
@@ -368,118 +408,220 @@ TEST(ColumnarKernelTest, CheckpointRoundTripsAcrossKernels) {
   }
 }
 
-// ---- Incremental engine under forced kernels ------------------------------
+// ---- The size rule and the columnar resume --------------------------------
 
-// Runs one deterministic append schedule on a fresh executor with the given
-// continuous-query kernel and returns the accumulated results.
-std::vector<TpRelation> RunContinuousSchedule(std::uint64_t seed,
-                                              SweepKernel kernel) {
+TEST(ColumnarKernelTest, SizeRuleThreshold) {
+  EXPECT_FALSE(SweepsColumnar(0));
+  EXPECT_FALSE(SweepsColumnar(kColumnarMinTuples - 1));
+  EXPECT_TRUE(SweepsColumnar(kColumnarMinTuples));
+}
+
+// A columnar resume from a non-zero checkpoint over inputs that carry no
+// columns projects only the unswept suffix, shifting the checkpoint cursors
+// into suffix space and back. From the same mid-array checkpoint it must
+// continue exactly like the scalar advancer, and from a fact-boundary cut
+// the stitched union stream and final status must equal one full sweep.
+TEST(ColumnarKernelTest, ColumnarResumeProjectsUnsweptSuffix) {
+  std::shared_ptr<TpContext> ctx;
+  auto [r, s] = FreshPair(Shapes(300)[0], 161, &ctx);
+  const std::vector<TpTuple>& rt = r.tuples();
+  const std::vector<TpTuple>& st = s.tuples();
+  auto sweep = [&](SetOpKind op, bool columnar, std::size_t nr,
+                   std::size_t ns, AdvancerCheckpoint* ckpt,
+                   std::vector<Win>* out) {
+    SweepWindows(op, columnar, {rt.data(), nr, std::nullopt},
+                 {st.data(), ns, std::nullopt}, ckpt,
+                 [&](const LineageAwareWindow& w) {
+                   out->push_back({w.fact, w.t.start, w.t.end, w.lr, w.ls});
+                 });
+  };
+
+  for (SetOpKind op : kAllSetOps) {
+    for (bool prefix_columnar : {false, true}) {
+      SCOPED_TRACE(std::string(SetOpName(op)) + " prefix " +
+                   (prefix_columnar ? "columnar" : "scalar"));
+      AdvancerCheckpoint prefix;
+      std::vector<Win> prefix_windows;
+      sweep(op, prefix_columnar, rt.size() / 3, st.size() / 2, &prefix,
+            &prefix_windows);
+      ASSERT_GT(prefix.ri + prefix.si, 0u);
+      ASSERT_GE((rt.size() - prefix.ri) + (st.size() - prefix.si),
+                kColumnarMinTuples);
+      AdvancerCheckpoint scalar_ckpt = prefix, columnar_ckpt = prefix;
+      std::vector<Win> scalar_windows, columnar_windows;
+      sweep(op, false, rt.size(), st.size(), &scalar_ckpt, &scalar_windows);
+      sweep(op, true, rt.size(), st.size(), &columnar_ckpt,
+            &columnar_windows);
+      EXPECT_TRUE(scalar_windows == columnar_windows)
+          << "resumed streams differ: scalar " << scalar_windows.size()
+          << " vs columnar " << columnar_windows.size();
+      ExpectCkptEqual(scalar_ckpt, columnar_ckpt, "resumed checkpoint");
+    }
+  }
+
+  // Union from a fact-boundary cut with at least kColumnarMinTuples tuples
+  // after it: the prefix sweep drains both sides up to the cut, so resuming
+  // its checkpoint over the full inputs is exact.
+  auto first_of = [](const std::vector<TpTuple>& side, FactId f) {
+    return static_cast<std::size_t>(
+        std::lower_bound(side.begin(), side.end(), f,
+                         [](const TpTuple& t, FactId v) { return t.fact < v; }) -
+        side.begin());
+  };
+  FactId cut = 1;
+  while (first_of(rt, cut) == 0 || first_of(st, cut) == 0) ++cut;
+  ASSERT_GE((rt.size() - first_of(rt, cut)) + (st.size() - first_of(st, cut)),
+            kColumnarMinTuples);
+  SweepResult expected = ScalarSweep(SetOpKind::kUnion, rt, st);
+  AdvancerCheckpoint ckpt;
+  std::vector<Win> stitched;
+  sweep(SetOpKind::kUnion, false, first_of(rt, cut), first_of(st, cut), &ckpt,
+        &stitched);
+  EXPECT_EQ(ckpt.ri, first_of(rt, cut));
+  EXPECT_EQ(ckpt.si, first_of(st, cut));
+  sweep(SetOpKind::kUnion, true, rt.size(), st.size(), &ckpt, &stitched);
+  EXPECT_TRUE(stitched == expected.windows);
+  ExpectCkptEqual(ckpt, expected.ckpt, "stitched checkpoint");
+}
+
+// The production resume: IncrementalSetOp counts the tuples past the
+// fact's checkpoint cursors, so a small first epoch sweeps scalar, a bulk
+// catch-up past it resumes columnar from a non-zero checkpoint, and a
+// one-row epoch after that is scalar again — every epoch a resume, and the
+// accumulated output equal to a from-scratch LawaSetOp.
+TEST(ColumnarKernelTest, IncrementalResumeCountsUnsweptSuffix) {
+  const std::size_t epoch_rows[] = {8, 40, 1};  // per side
+  for (SetOpKind op : kAllSetOps) {
+    SCOPED_TRACE(SetOpName(op));
+    auto ctx = std::make_shared<TpContext>();
+    const FactId fact = ctx->facts().Intern({Value(std::int64_t{0})});
+    TpRelation r(ctx, Schema::SingleInt("fact"), "r");
+    TpRelation s(ctx, Schema::SingleInt("fact"), "s");
+    Rng rng(171);
+    // Each epoch's rows on both sides start after every earlier row ends,
+    // so every delta lies past the sweep frontier and resumes.
+    std::vector<std::pair<std::size_t, std::size_t>> bounds;  // r/s ends
+    TimePoint epoch_start = 0;
+    for (std::size_t rows : epoch_rows) {
+      TimePoint epoch_end = epoch_start;
+      for (TpRelation* rel : {&r, &s}) {
+        TimePoint cursor = epoch_start;
+        for (std::size_t i = 0; i < rows; ++i) {
+          const TimePoint start = cursor + rng.Uniform(0, 3);
+          const TimePoint end = start + rng.Uniform(1, 6);
+          rel->AddBaseFast(fact, Interval(start, end),
+                           0.1 + 0.8 * rng.NextDouble());
+          cursor = end;
+        }
+        epoch_end = std::max(epoch_end, cursor);
+      }
+      bounds.push_back({r.size(), s.size()});
+      epoch_start = epoch_end + 1;
+    }
+    r.SortFactTime();
+    s.SortFactTime();
+
+    IncrementalSetOp inc(op);
+    std::size_t rb = 0, sb = 0;
+    const bool expect_columnar[] = {false, true, false};
+    for (std::size_t e = 0; e < bounds.size(); ++e) {
+      SCOPED_TRACE("epoch " + std::to_string(e));
+      DeltaMap left, right;
+      left[fact].inserted.assign(r.tuples().begin() + rb,
+                                 r.tuples().begin() + bounds[e].first);
+      right[fact].inserted.assign(s.tuples().begin() + sb,
+                                  s.tuples().begin() + bounds[e].second);
+      const LawaStats before = inc.stats();
+      inc.Apply(left, right, ctx->lineage());
+      const LawaStats& after = inc.stats();
+      EXPECT_EQ(after.facts_resumed - before.facts_resumed, 1u);
+      EXPECT_EQ(after.facts_reswept, 0u);
+      EXPECT_EQ(after.sweeps_columnar - before.sweeps_columnar,
+                expect_columnar[e] ? 1u : 0u);
+      EXPECT_EQ(after.sweeps_scalar - before.sweeps_scalar,
+                expect_columnar[e] ? 0u : 1u);
+      rb = bounds[e].first;
+      sb = bounds[e].second;
+    }
+    TpRelation accumulated(ctx, Schema::SingleInt("fact"), "acc");
+    inc.AppendAccumulated(&accumulated);
+    EXPECT_TRUE(RelationsEquivalent(accumulated, LawaSetOp(op, r, s)));
+  }
+}
+
+// ---- The size rule under a continuous schedule ----------------------------
+
+// Kernel sweeps recorded across every operator of `cq`'s last epoch.
+void AddEpochSweeps(const ContinuousQuery& cq, std::size_t* scalar,
+                    std::size_t* columnar) {
+  for (const auto& op_span : cq.last_profile().root().children) {
+    *scalar += op_span->stats.sweeps_scalar;
+    *columnar += op_span->stats.sweeps_columnar;
+  }
+}
+
+// One schedule exercises both sides of the rule: a bulk initial load sweeps
+// whole facts (80 tuples each — columnar), then one-row-per-fact epochs
+// resume per-fact suffixes of a tuple or two (scalar). Checkpoints cross
+// kernels at every switch, and the accumulated results still fold to a
+// from-scratch Execute.
+TEST(ColumnarKernelTest, ContinuousScheduleRunsBothKernels) {
   auto ctx = std::make_shared<TpContext>();
   QueryExecutor exec(ctx);
-  Rng rng(seed);
   const std::vector<std::string> rel_names = {"r", "s", "u"};
   for (const std::string& name : rel_names) {
     TpRelation rel(ctx, Schema::SingleInt("fact"), name);
-    EXPECT_TRUE(exec.Register(rel).ok());
+    ASSERT_TRUE(exec.Register(rel).ok());
   }
-  ContinuousOptions options;
-  options.sweep_kernel = kernel;
   const std::vector<std::string> queries = {"r - s", "(r | s) & u"};
   std::vector<ContinuousQuery*> cqs;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    Result<ContinuousQuery*> cq = exec.RegisterContinuous(
-        "q" + std::to_string(i), queries[i], options);
-    EXPECT_TRUE(cq.ok()) << cq.status().ToString();
-    if (cq.ok()) cqs.push_back(*cq);
+    Result<ContinuousQuery*> cq =
+        exec.RegisterContinuous("q" + std::to_string(i), queries[i]);
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    cqs.push_back(*cq);
   }
-  const std::size_t num_facts = 5;
+  std::size_t scalar = 0, columnar = 0;
+  auto append = [&](const std::string& rel, const DeltaBatch& batch) {
+    Result<EpochId> epoch = exec.Append(rel, batch);
+    ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+    for (const ContinuousQuery* cq : cqs) {
+      if (cq->Reads(rel)) AddEpochSweeps(*cq, &scalar, &columnar);
+    }
+  };
+
+  Rng rng(151);
+  constexpr std::size_t kFacts = 4;
   std::vector<std::vector<TimePoint>> cursor(
-      rel_names.size(), std::vector<TimePoint>(num_facts, 0));
-  for (std::size_t e = 0; e < 30; ++e) {
-    std::size_t ri = static_cast<std::size_t>(rng.Below(rel_names.size()));
+      rel_names.size(), std::vector<TimePoint>(kFacts, 0));
+  auto add_row = [&](std::size_t rel, std::size_t fact, DeltaBatch* batch) {
+    TimePoint& cur = cursor[rel][fact];
+    cur += rng.Uniform(0, 3);
+    const TimePoint len = rng.Uniform(1, 5);
+    batch->Add({Value(static_cast<std::int64_t>(fact))},
+               Interval(cur, cur + len), 0.1 + 0.8 * rng.NextDouble());
+    cur += len;
+  };
+  for (std::size_t ri = 0; ri < rel_names.size(); ++ri) {
+    DeltaBatch bulk;
+    for (std::size_t fact = 0; fact < kFacts; ++fact) {
+      for (int k = 0; k < 80; ++k) add_row(ri, fact, &bulk);
+    }
+    append(rel_names[ri], bulk);
+  }
+  EXPECT_GT(columnar, 0u) << "bulk load should sweep columnar";
+  for (std::size_t e = 0; e < 12; ++e) {
+    const std::size_t ri = e % rel_names.size();
     DeltaBatch batch;
-    for (std::size_t k = 0; k < 4; ++k) {
-      const std::size_t fact = static_cast<std::size_t>(rng.Below(num_facts));
-      TimePoint& cur = cursor[ri][fact];
-      cur += rng.Uniform(0, 3);
-      const TimePoint len = rng.Uniform(1, 4);
-      batch.Add({Value(static_cast<std::int64_t>(fact))},
-                Interval(cur, cur + len), 0.1 + 0.8 * rng.NextDouble());
-      cur += len;
-    }
-    Result<EpochId> epoch = exec.Append(rel_names[ri], batch);
-    EXPECT_TRUE(epoch.ok()) << epoch.status().ToString();
+    for (std::size_t fact = 0; fact < kFacts; ++fact) add_row(ri, fact, &batch);
+    append(rel_names[ri], batch);
   }
-  std::vector<TpRelation> out;
-  for (ContinuousQuery* cq : cqs) out.push_back(cq->Current());
-  return out;
-}
-
-TEST(ColumnarKernelTest, IncrementalKernelEquivalence) {
-  for (std::uint64_t seed : testing::PropertySeeds({141, 142})) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    std::vector<TpRelation> scalar =
-        RunContinuousSchedule(seed, SweepKernel::kScalar);
-    std::vector<TpRelation> columnar =
-        RunContinuousSchedule(seed, SweepKernel::kColumnar);
-    std::vector<TpRelation> autok =
-        RunContinuousSchedule(seed, SweepKernel::kAuto);
-    ASSERT_EQ(scalar.size(), columnar.size());
-    ASSERT_EQ(scalar.size(), autok.size());
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      SCOPED_TRACE("query " + std::to_string(i));
-      // Sequential apply with identical window streams concatenates in the
-      // same order on identically seeded contexts: ids must coincide.
-      ExpectBitEqual(scalar[i], columnar[i], "incremental scalar vs columnar");
-      ExpectBitEqual(scalar[i], autok[i], "incremental scalar vs auto");
-    }
-  }
-}
-
-// ---- Auto threshold -------------------------------------------------------
-
-TEST(ColumnarKernelTest, AutoResolvesByCombinedSize) {
-  EXPECT_EQ(ResolveSweepKernel(SweepKernel::kAuto, kColumnarAutoThreshold),
-            SweepKernel::kColumnar);
-  EXPECT_EQ(ResolveSweepKernel(SweepKernel::kAuto, kColumnarAutoThreshold - 1),
-            SweepKernel::kScalar);
-  EXPECT_EQ(ResolveSweepKernel(SweepKernel::kScalar, 1u << 20),
-            SweepKernel::kScalar);
-  EXPECT_EQ(ResolveSweepKernel(SweepKernel::kColumnar, 0),
-            SweepKernel::kColumnar);
-}
-
-// The executor honors a pinned kernel on the sequential no-profile path
-// (the routing exercised by EXPLAIN-less A/B runs).
-TEST(ColumnarKernelTest, ExecutorSequentialPinnedKernel) {
-  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kColumnar}) {
-    auto ctx1 = std::make_shared<TpContext>();
-    auto ctx2 = std::make_shared<TpContext>();
-    Rng rng1(55), rng2(55);
-    QueryExecutor scalar_exec(ctx1);
-    QueryExecutor pinned_exec(ctx2);
-    {
-      TpRelation r = ChainRelation(ctx1, "r", {40, 40}, 6, 3, &rng1);
-      TpRelation s = ChainRelation(ctx1, "s", {40, 40}, 9, 2, &rng1);
-      ASSERT_TRUE(scalar_exec.Register(r).ok());
-      ASSERT_TRUE(scalar_exec.Register(s).ok());
-    }
-    {
-      TpRelation r = ChainRelation(ctx2, "r", {40, 40}, 6, 3, &rng2);
-      TpRelation s = ChainRelation(ctx2, "s", {40, 40}, 9, 2, &rng2);
-      ASSERT_TRUE(pinned_exec.Register(r).ok());
-      ASSERT_TRUE(pinned_exec.Register(s).ok());
-    }
-    Result<TpRelation> plain = scalar_exec.Execute("(r & s) | (r - s)");
-    ExecOptions options;
-    options.sweep_kernel = kernel;
-    Result<TpRelation> pinned =
-        pinned_exec.Execute("(r & s) | (r - s)", options);
-    ASSERT_TRUE(plain.ok());
-    ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-    ExpectBitEqual(*plain, *pinned,
-                   std::string("executor pinned kernel ") +
-                       SweepKernelName(kernel));
+  EXPECT_GT(scalar, 0u) << "one-row deltas should sweep scalar";
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE(queries[i]);
+    Result<TpRelation> oneshot = exec.Execute(queries[i]);
+    ASSERT_TRUE(oneshot.ok()) << oneshot.status().ToString();
+    EXPECT_TRUE(RelationsEquivalent(cqs[i]->Current(), *oneshot));
   }
 }
 

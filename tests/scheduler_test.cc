@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "datagen/synthetic.h"
 #include "lawa/set_ops.h"
+#include "obs/profile.h"
 #include "parallel/parallel_set_op.h"
 #include "parallel/partition.h"
 #include "parallel/scheduler.h"
@@ -51,17 +52,6 @@ TEST(MorselBatchTest, NullPoolRunsInline) {
   MorselBatch batch(nullptr, 5, [&](std::size_t i) { order.push_back(i); });
   batch.WaitAll();
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(batch.morsels_stolen(), 0u);
-}
-
-TEST(MorselBatchTest, NoStealRunsOnlyOwnDeque) {
-  ThreadPool pool(4);
-  constexpr std::size_t kCount = 64;
-  std::vector<std::atomic<int>> runs(kCount);
-  MorselBatch batch(&pool, kCount, [&](std::size_t i) { runs[i].fetch_add(1); },
-                    /*steal=*/false);
-  batch.WaitAll();
-  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
   EXPECT_EQ(batch.morsels_stolen(), 0u);
 }
 
@@ -144,7 +134,11 @@ TEST(MorselBatchTest, WaitMorselOverlapsSlowLaterMorsels) {
 
 // ---- Heavy-fact time-boundary splitting -----------------------------------
 
-// One fact's worth of random, duplicate-free, start-sorted tuples per side.
+// One fact's worth of random, start-sorted tuples for one side. Each side
+// is duplicate-free — its intervals never overlap, the advancer's input
+// contract — but both sides start at the same origin, so r and s tuples
+// overlap each other in chains no clean cut can split, broken where both
+// sides happen to leave a gap.
 std::vector<TpTuple> OneFactChain(Rng* rng, std::size_t n, TimePoint max_len,
                                   TimePoint max_gap) {
   std::vector<TpTuple> out;
@@ -155,8 +149,7 @@ std::vector<TpTuple> OneFactChain(Rng* rng, std::size_t n, TimePoint max_len,
     TimePoint end = start + rng->Uniform(1, max_len);
     out.push_back({/*fact=*/7, Interval(start, end),
                    static_cast<LineageId>(100 + i)});
-    cursor = start;  // next start >= this start: overlap chains possible
-    if (rng->Bernoulli(0.5)) cursor = end;  // sometimes leave a clean gap
+    cursor = end;
   }
   return out;
 }
@@ -210,13 +203,17 @@ TEST(HeavyFactSplitTest, CutsNeverBisectAWindowOpen) {
 }
 
 TEST(HeavyFactSplitTest, UnbrokenOverlapChainStaysOneMorsel) {
-  // Every tuple overlaps the next: no clean cut exists anywhere.
-  std::vector<TpTuple> r;
-  for (int i = 0; i < 50; ++i) {
-    r.push_back({7, Interval(i, i + 2), static_cast<LineageId>(10 + i)});
+  // Each side is an adjacent, non-overlapping chain, but every r tuple
+  // overlaps the s tuples on both sides of it ([2i, 2i+2) vs [2i-1, 2i+1)
+  // and [2i+1, 2i+3)): the chain alternates across r and s without a break,
+  // so no clean cut exists anywhere.
+  std::vector<TpTuple> r, s;
+  for (int i = 0; i < 25; ++i) {
+    r.push_back({7, Interval(2 * i, 2 * i + 2), static_cast<LineageId>(10 + i)});
+    s.push_back(
+        {7, Interval(2 * i + 1, 2 * i + 3), static_cast<LineageId>(50 + i)});
   }
-  std::vector<TpTuple> s;  // empty side
-  FactPartition whole{0, r.size(), 0, 0};
+  FactPartition whole{0, r.size(), 0, s.size()};
   std::vector<FactPartition> sub =
       SplitFactAtTimeBoundaries(r.data(), s.data(), whole, 5);
   EXPECT_EQ(sub.size(), 1u);
@@ -315,9 +312,9 @@ TEST(BuildMorselsTest, WithinBudgetPartitionsPassThrough) {
 // ---- End to end through the engine ----------------------------------------
 
 // A one-hot-fact workload through ParallelSetOpAlgorithm with a small
-// morsel budget: results stay bit-identical to sequential LAWA (the
-// kBitIdentical contract survives time splitting), and the stats show the
-// heavy fact actually was split.
+// morsel budget: results stay bit-identical to the paper-literal scalar
+// reference (the kBitIdentical contract survives time splitting and the
+// columnar kernel), and the stats show the heavy fact actually was split.
 TEST(SchedulerEngineTest, OneHotFactBitIdenticalWithSplitting) {
   auto ctx = std::make_shared<TpContext>();
   Rng rng(0xB0B);
@@ -326,21 +323,24 @@ TEST(SchedulerEngineTest, OneHotFactBitIdenticalWithSplitting) {
   spec.num_facts = 10;  // round-robin: every fact gets 400 tuples...
   auto [r, s] = GenerateSyntheticPair(ctx, spec, &rng);
 
-  TpRelation seq = LawaSetOp(SetOpKind::kUnion, r, s);
+  TpRelation seq = testing::ScalarLawaSetOp(SetOpKind::kUnion, r, s);
 
-  MorselOptions morsel;
-  morsel.morsel_size = 64;
-  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2,
-                              ApplyMode::kBitIdentical, morsel);
-  LawaStats stats;
-  TpRelation par = algo.ComputeTimed(SetOpKind::kUnion, r, s, nullptr, &stats);
+  ParallelSetOpAlgorithm algo(4, SortMode::kComparison,
+                              ApplyMode::kBitIdentical, /*morsel_size=*/64);
+  obs::Span span;
+  TpRelation par = algo.ComputeSequenced(SetOpKind::kUnion, r, s,
+                                         /*seq=*/nullptr, /*ticket=*/0,
+                                         /*stats=*/nullptr, &span);
 
   ASSERT_EQ(par.size(), seq.size());
   for (std::size_t i = 0; i < par.size(); ++i) {
     EXPECT_EQ(par[i], seq[i]) << "tuple " << i;
   }
-  EXPECT_GT(stats.morsels_run, 4u);
-  EXPECT_GE(stats.facts_split, 1u);  // 400-tuple facts vs budget 64
+  EXPECT_GT(span.stats.morsels_run, 4u);
+  EXPECT_GE(span.stats.facts_split, 1u);  // 400-tuple facts vs budget 64
+  for (const char* phase : {"sort", "split", "advance", "apply"}) {
+    EXPECT_NE(span.FindChild(phase), nullptr) << phase;
+  }
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 // (b) run-to-run deterministic: the same configuration over a fresh but
 // identically seeded context reproduces the output bit for bit, across
 // thread counts 1/2/4/8 and morsel sizes including the pathological
-// morsel_size = 1. The skew shapes are exactly the inputs the static
-// partitioner cannot balance (a heavy fact is never cut at fact
-// granularity), so these tests pin the correctness side of the scheduler's
+// morsel_size = 1. The skew shapes are exactly the inputs a fact-granular
+// partitioner cannot balance (a heavy fact is never cut at a fact
+// boundary), so these tests pin the correctness side of the scheduler's
 // reason to exist; the performance side lives in bench_parallel.
 #include <memory>
 #include <string>
@@ -19,6 +19,7 @@
 #include "common/random.h"
 #include "datagen/synthetic.h"
 #include "lawa/set_ops.h"
+#include "obs/profile.h"
 #include "parallel/parallel_set_op.h"
 #include "relation/relation.h"
 #include "relation/validate.h"
@@ -86,7 +87,7 @@ std::vector<SkewShape> Shapes(std::size_t scale) {
     hot[0] = scale * 9 / 10;
     shapes.push_back({"one_hot", hot, hot});
   }
-  // all-one-fact: the static partitioner's degenerate case.
+  // all-one-fact: the fact-range partitioner's degenerate case.
   shapes.push_back({"all_one_fact",
                     std::vector<std::size_t>{scale},
                     std::vector<std::size_t>{scale}});
@@ -146,23 +147,21 @@ void RunShape(const SkewShape& shape, std::uint64_t seed) {
 
   for (SetOpKind op : kAllSetOps) {
     SCOPED_TRACE(SetOpName(op));
-    // Sequential oracle on its own fresh context — every run below also
-    // starts from a fresh identically seeded context, so in bit-identical
-    // mode even the lineage ids must coincide.
+    // Paper-literal scalar oracle on its own fresh context — every run
+    // below also starts from a fresh identically seeded context, so in
+    // bit-identical mode even the lineage ids must coincide.
     std::shared_ptr<TpContext> seq_ctx;
     auto [seq_r, seq_s] = FreshPair(shape, seed, &seq_ctx);
     ASSERT_TRUE(ValidateSetOpInputs(seq_r, seq_s).ok());
-    TpRelation expected = LawaSetOp(op, seq_r, seq_s);
+    TpRelation expected = testing::ScalarLawaSetOp(op, seq_r, seq_s);
     for (std::size_t threads : thread_counts) {
       for (std::size_t morsel_size : morsel_sizes) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " morsel_size=" + std::to_string(morsel_size));
-        MorselOptions morsel;
-        morsel.morsel_size = morsel_size;
         for (ApplyMode mode : {ApplyMode::kBitIdentical, ApplyMode::kStaged}) {
           SCOPED_TRACE(mode == ApplyMode::kStaged ? "staged" : "bit-identical");
-          ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, 2, mode,
-                                      morsel);
+          ParallelSetOpAlgorithm algo(threads, SortMode::kComparison, mode,
+                                      morsel_size);
           // Two runs over fresh, identically seeded contexts: run-to-run
           // determinism must hold bit for bit (tuples AND lineage ids).
           std::shared_ptr<TpContext> ctx1, ctx2;
@@ -208,16 +207,15 @@ TEST(SkewPropertyTest, AllOneFact) {
 TEST(SkewPropertyTest, SplitterEngagesOnHotFact) {
   std::shared_ptr<TpContext> ctx;
   auto [r, s] = FreshPair(Shapes(800)[1], 7, &ctx);
-  MorselOptions morsel;
-  morsel.morsel_size = 32;
-  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, 2, ApplyMode::kStaged,
-                              morsel);
-  LawaStats stats;
-  TpRelation out = algo.ComputeTimed(SetOpKind::kIntersect, r, s, nullptr,
-                                     &stats);
+  ParallelSetOpAlgorithm algo(4, SortMode::kComparison, ApplyMode::kStaged,
+                              /*morsel_size=*/32);
+  obs::Span span;
+  TpRelation out = algo.ComputeSequenced(SetOpKind::kIntersect, r, s,
+                                         /*seq=*/nullptr, /*ticket=*/0,
+                                         /*stats=*/nullptr, &span);
   (void)out;
-  EXPECT_GE(stats.facts_split, 1u);
-  EXPECT_GT(stats.morsels_run, 4u);
+  EXPECT_GE(span.stats.facts_split, 1u);
+  EXPECT_GT(span.stats.morsels_run, 4u);
 }
 
 }  // namespace

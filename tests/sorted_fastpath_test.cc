@@ -164,7 +164,7 @@ TEST(ZeroSortFastPathTest, SetOpOutputsCarryTheWitness) {
                                  SortMode::kComparison, &stats);
   EXPECT_EQ(stats.sort_skipped, 2u);
 
-  ParallelSetOpAlgorithm staged(4, SortMode::kComparison, 4, ApplyMode::kStaged);
+  ParallelSetOpAlgorithm staged(4, SortMode::kComparison, ApplyMode::kStaged);
   TpRelation su = staged.Compute(SetOpKind::kUnion, db.a, db.b);
   EXPECT_TRUE(su.known_sorted());
 }

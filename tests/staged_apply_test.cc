@@ -9,10 +9,12 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "datagen/synthetic.h"
 #include "lawa/set_ops.h"
+#include "lineage/eval.h"
 #include "lineage/staging.h"
 #include "parallel/parallel_set_op.h"
 #include "query/executor.h"
@@ -27,8 +29,55 @@ using testing::SupermarketDb;
 
 ParallelSetOpAlgorithm StagedAlgo(std::size_t threads) {
   return ParallelSetOpAlgorithm(threads, SortMode::kComparison,
-                                /*partitions_per_thread=*/4,
                                 ApplyMode::kStaged);
+}
+
+// Copies formula `id` of `from` into `to` node by node (memoized on source
+// ids).
+LineageId Reintern(const LineageManager& from, LineageId id, LineageManager* to,
+                   std::unordered_map<LineageId, LineageId>* memo) {
+  auto it = memo->find(id);
+  if (it != memo->end()) return it->second;
+  const LineageNode& n = from.node(id);
+  LineageId out = kNullLineage;
+  switch (n.kind) {
+    case LineageKind::kFalse:
+      out = to->False();
+      break;
+    case LineageKind::kTrue:
+      out = to->True();
+      break;
+    case LineageKind::kVar:
+      out = to->MakeVar(n.var);
+      break;
+    case LineageKind::kNot:
+      out = to->MakeNot(Reintern(from, n.left, to, memo));
+      break;
+    case LineageKind::kAnd:
+      out = to->MakeAnd(Reintern(from, n.left, to, memo),
+                        Reintern(from, n.right, to, memo));
+      break;
+    case LineageKind::kOr:
+      out = to->MakeOr(Reintern(from, n.left, to, memo),
+                       Reintern(from, n.right, to, memo));
+      break;
+  }
+  memo->emplace(id, out);
+  return out;
+}
+
+// Exact (Shannon) probability of tuple i. ProbabilityExact requires a
+// hash-consing manager, so lineage from an append-only arena is first
+// re-interned into a consing one — the valuation itself is unchanged.
+double ExactProbability(const TpRelation& rel, std::size_t i) {
+  const LineageManager& mgr = rel.context()->lineage();
+  if (mgr.hash_consing()) {
+    return rel.TupleProbability(i, ProbabilityMethod::kExact);
+  }
+  LineageManager consing(/*hash_consing=*/true);
+  std::unordered_map<LineageId, LineageId> memo;
+  const LineageId id = Reintern(mgr, rel[i].lineage, &consing, &memo);
+  return ProbabilityExact(consing, id, rel.context()->vars());
 }
 
 // Same tuples in the same order — (fact, interval) exactly; lineage up to
@@ -44,8 +93,8 @@ void ExpectValuationEqual(const TpRelation& expected, const TpRelation& actual) 
     EXPECT_EQ(mgr.CanonicalKey(expected[i].lineage),
               mgr.CanonicalKey(actual[i].lineage))
         << "tuple " << i;
-    EXPECT_NEAR(expected.TupleProbability(i, ProbabilityMethod::kExact),
-                actual.TupleProbability(i, ProbabilityMethod::kExact), 1e-12)
+    EXPECT_NEAR(ExactProbability(expected, i), ExactProbability(actual, i),
+                1e-12)
         << "tuple " << i;
   }
 }

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "lawa/advancer.h"
+#include "lawa/set_ops.h"
 #include "relation/relation.h"
 
 namespace tpset::testing {
@@ -80,6 +82,27 @@ struct ExpectedRow {
   std::string lineage;
   double p;
 };
+
+/// The paper-literal LAWA reference: sorts copies of both inputs, sweeps
+/// them with the scalar LineageAwareWindowAdvancer through
+/// ForEachSurvivingWindow (Algorithms 1-4 as written) and concatenates every
+/// surviving window into the shared arena, in window order. On identically
+/// seeded contexts its output — tuples and lineage ids — must equal
+/// LawaSetOp's and LAWA-P bit-identical's, whichever kernel those ran.
+inline TpRelation ScalarLawaSetOp(SetOpKind op, const TpRelation& r,
+                                  const TpRelation& s) {
+  std::vector<TpTuple> rt = r.tuples(), st = s.tuples();
+  SortTuples(&rt, SortMode::kComparison);
+  SortTuples(&st, SortMode::kComparison);
+  LineageManager& mgr = r.context()->lineage();
+  TpRelation out(r.context(), r.schema(),
+                 "(" + r.name() + " " + SetOpName(op) + " " + s.name() + ")");
+  LineageAwareWindowAdvancer adv(rt, st);
+  ForEachSurvivingWindow(op, adv, [&](const LineageAwareWindow& w) {
+    out.AddDerived(w.fact, w.t, Concat(op, mgr, w.lr, w.ls));
+  });
+  return out;
+}
 
 }  // namespace tpset::testing
 
