@@ -150,7 +150,7 @@ AppendPoint MeasureAppend(std::size_t n, std::size_t batch_rows,
       if (!st.ok()) std::exit(1);
     }
     ThreadPool pool(8);
-    p.compact_par_ms = TimeMs([&]() { stored.Compact(&pool); });
+    p.compact_par_ms = TimeMs([&]() { stored.Compact(PoolLane(&pool, 8)); });
   }
   return p;
 }

@@ -14,10 +14,6 @@ namespace tpset {
 
 namespace {
 
-// Fact ranges per pool thread when an operator applies a delta in parallel:
-// oversubscription so straggler facts even out.
-constexpr std::size_t kFactRangesPerThread = 2;
-
 // Deep copy of a query tree (ContinuousQuery keeps its own).
 QueryPtr CloneQuery(const QueryNode& q) {
   if (q.kind == QueryNode::Kind::kRelation) {
@@ -103,7 +99,6 @@ LawaStats DiffStats(const LawaStats& after, const LawaStats& before) {
   d.runs_merged = after.runs_merged - before.runs_merged;
   d.tuples_retired = after.tuples_retired - before.tuples_retired;
   d.tail_hits = after.tail_hits - before.tail_hits;
-  d.sweeps_scalar = after.sweeps_scalar - before.sweeps_scalar;
   d.sweeps_columnar = after.sweeps_columnar - before.sweeps_columnar;
   return d;
 }
@@ -115,16 +110,14 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Compile(
     const std::function<Result<const StoredRelation*>(const std::string&)>&
         resolve,
     std::shared_ptr<TpContext> ctx, const ContinuousOptions& options,
-    ThreadPool* pool) {
+    PoolLane lane) {
   std::unique_ptr<ContinuousQuery> cq(new ContinuousQuery());
   cq->name_ = std::move(name);
   cq->query_ = CloneQuery(query);
   cq->ctx_ = std::move(ctx);
   cq->options_ = options;
-  cq->pool_ = pool;
+  cq->lane_ = std::move(lane);
   if (cq->options_.num_threads == 0) cq->options_.num_threads = 1;
-  assert((cq->options_.num_threads <= 1 || pool != nullptr) &&
-         "parallel continuous queries need the shared pool");
 
   std::map<std::string, int> memo;
   Status status = Status::OK();
@@ -201,10 +194,6 @@ int ContinuousQuery::CompileNode(
 TupleDelta ContinuousQuery::Propagate(
     const std::map<std::string, const DeltaMap*>& leaf_deltas,
     obs::Span* span) {
-  ThreadPool* pool = options_.num_threads > 1 ? pool_ : nullptr;
-  const std::size_t max_groups =
-      pool != nullptr ? options_.num_threads * kFactRangesPerThread : 0;
-
   // Interior deltas are owned; leaf slots alias the caller's (shared) maps.
   static const DeltaMap kEmpty;
   std::vector<DeltaMap> owned(nodes_.size());
@@ -223,8 +212,7 @@ TupleDelta ContinuousQuery::Propagate(
           child == nullptr ? LawaStats{} : n.state->stats();
       {
         obs::SpanTimer timer(child);
-        owned[i] =
-            n.state->Apply(left, right, ctx_->lineage(), pool, max_groups);
+        owned[i] = n.state->Apply(left, right, ctx_->lineage(), lane_);
       }
       if (child != nullptr) {
         child->AttachStats(DiffStats(n.state->stats(), before));

@@ -38,10 +38,11 @@ namespace tpset {
 /// Execution knobs of one continuous query.
 struct ContinuousOptions {
   /// 1 applies deltas sequentially. Above 1, each operator partitions the
-  /// facts touched by a delta batch into fact ranges, applies them on a
-  /// shared pool with per-range lineage staging, and splices the staged
-  /// cells in fact order (deterministic; same tuples, probability-equal
-  /// lineage — the staged-apply contract, see DESIGN.md).
+  /// facts touched by a delta batch into fact ranges and applies them with
+  /// this many workers of the executor's one pool (grown to at least this
+  /// width) with per-range lineage staging, then splices the staged cells in
+  /// fact order (deterministic; same tuples, probability-equal lineage — the
+  /// staged-apply contract, see DESIGN.md).
   std::size_t num_threads = 1;
 };
 
@@ -55,10 +56,9 @@ class ContinuousQuery {
 
   /// Compiles `query` over the catalog. `resolve` maps a relation name to
   /// the executor's stored catalog entry (whose address must stay stable,
-  /// which the executor's node-based map guarantees). `pool` is the shared
-  /// worker pool for the parallel staged apply (required when
-  /// options.num_threads > 1, must outlive the query; the executor shares
-  /// one pool per thread count across its continuous queries). Runs the
+  /// which the executor's node-based map guarantees). `lane` is the
+  /// options.num_threads-wide share of the executor's pool the parallel
+  /// staged apply runs on (its pool must outlive the query). Runs the
   /// initial full computation — every leaf's current content, read through
   /// the run-merge iterator, applied as one insert-only delta — so the
   /// query is ready to absorb appends.
@@ -67,7 +67,7 @@ class ContinuousQuery {
       const std::function<Result<const StoredRelation*>(const std::string&)>&
           resolve,
       std::shared_ptr<TpContext> ctx, const ContinuousOptions& options,
-      ThreadPool* pool);
+      PoolLane lane);
 
   /// Registers a per-epoch delta callback; fires for every epoch that
   /// appends to a relation this query reads (even if the output delta is
@@ -203,7 +203,7 @@ class ContinuousQuery {
   TimePoint rebased_watermark_ = kNoWatermark;
   std::vector<Subscriber> subscribers_;
   SubscriptionId next_subscription_ = 1;
-  ThreadPool* pool_ = nullptr;  // shared, executor-owned; null = sequential
+  PoolLane lane_;  // of the executor's pool; sequential at one thread
   obs::QueryProfile profile_{"epoch"};  // last-epoch span tree (reused)
 };
 

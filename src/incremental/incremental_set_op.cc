@@ -14,6 +14,10 @@ namespace tpset {
 
 namespace {
 
+// Fact ranges per worker when an operator applies a delta in parallel:
+// oversubscription so straggler facts even out.
+constexpr std::size_t kFactRangesPerWorker = 2;
+
 // True iff `d` (possibly null) appends to `side` in time order: inserted
 // tuples start at or after the side's last stored end (duplicate-freeness-
 // preserving append). The inserted list itself is start-ordered and
@@ -99,12 +103,9 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
       st.out.push_back({w.t, w.lr, w.ls, lin});
       res.delta.inserted.push_back({fact, w.t, lin});
     };
-    // The kernel rule counts the *unswept suffix* — the work a resume
-    // actually does — and a columnar resume projects only that suffix, so
-    // O(delta) resumes stay O(delta).
-    res.columnar = SweepsColumnar((st.r.size() - st.ckpt.ri) +
-                                  (st.s.size() - st.ckpt.si));
-    SweepWindows(op_, res.columnar, {st.r.data(), st.r.size(), std::nullopt},
+    // The sweep projects only the unswept suffix past the checkpoint
+    // cursors, so O(delta) resumes stay O(delta).
+    SweepWindows(op_, {st.r.data(), st.r.size(), std::nullopt},
                  {st.s.data(), st.s.size(), std::nullopt}, &st.ckpt, emit);
     res.windows_produced = st.ckpt.windows_produced - windows_before;
     res.resumed = true;
@@ -127,8 +128,7 @@ IncrementalSetOp::FactApplyResult IncrementalSetOp::ApplyFact(
     fresh.push_back({w.t, w.lr, w.ls});
   };
   AdvancerCheckpoint swept_ckpt;
-  res.columnar = SweepsColumnar(st.r.size() + st.s.size());
-  SweepWindows(op_, res.columnar, {st.r.data(), st.r.size(), std::nullopt},
+  SweepWindows(op_, {st.r.data(), st.r.size(), std::nullopt},
                {st.s.data(), st.s.size(), std::nullopt}, &swept_ckpt,
                fresh_emit);
   res.windows_produced = swept_ckpt.windows_produced;
@@ -189,15 +189,14 @@ void IncrementalSetOp::Fold(const FactApplyResult& res) {
   } else {
     ++stats_.facts_reswept;
   }
-  NoteSweeps(res.columnar, 1, &stats_);
+  NoteSweeps(1, &stats_);
   accumulated_ += res.delta.inserted.size();
   accumulated_ -= res.delta.retracted.size();
   stats_.output_tuples = accumulated_;
 }
 
 DeltaMap IncrementalSetOp::Apply(const DeltaMap& left, const DeltaMap& right,
-                                 LineageManager& mgr, ThreadPool* pool,
-                                 std::size_t max_groups) {
+                                 LineageManager& mgr, const PoolLane& lane) {
   DeltaMap out;
   if (left.empty() && right.empty()) return out;
   ++stats_.epochs_applied;
@@ -227,7 +226,7 @@ DeltaMap IncrementalSetOp::Apply(const DeltaMap& left, const DeltaMap& right,
     return it == m.end() ? nullptr : &it->second;
   };
 
-  const bool parallel = pool != nullptr && max_groups > 1 && touched.size() > 1;
+  const bool parallel = lane.width() > 1 && touched.size() > 1;
   if (!parallel) {
     for (FactId f : touched) {
       FactApplyResult res = ApplyFact(f, side_of(left, f), side_of(right, f), mgr);
@@ -260,7 +259,8 @@ DeltaMap IncrementalSetOp::Apply(const DeltaMap& left, const DeltaMap& right,
     }
     weights.push_back(w);
   }
-  const std::vector<WeightRange> groups = PartitionByWeight(weights, max_groups);
+  const std::vector<WeightRange> groups =
+      PartitionByWeight(weights, lane.width() * kFactRangesPerWorker);
   const LineageId frozen = static_cast<LineageId>(mgr.size());
   const bool hash_consing = mgr.hash_consing();
 
@@ -270,7 +270,7 @@ DeltaMap IncrementalSetOp::Apply(const DeltaMap& left, const DeltaMap& right,
   };
   std::vector<GroupResult> group_results(groups.size());
   MorselBatch batch(
-      pool, groups.size(),
+      lane, groups.size(),
       [this, &groups, &group_results, &touched, &left, &right, frozen,
        hash_consing, &side_of](std::size_t gi) {
         const WeightRange& g = groups[gi];

@@ -52,11 +52,8 @@ namespace tpset {
 /// Persistent sweep state of one TP set operation. See the file comment.
 class IncrementalSetOp {
  public:
-  /// Per-fact applies run the one sweep of lawa/sweep.h, its kernel picked
-  /// by the size rule on the tuples actually swept — the unswept suffix for resumes,
-  /// the whole fact for resweeps — so tiny per-fact deltas stay on the
-  /// scalar kernel and bulk catch-ups go columnar. Checkpoints round-trip
-  /// between kernels, so the choice can differ epoch to epoch.
+  /// Per-fact applies run the one sweep of lawa/sweep.h: a resume projects
+  /// only the fact's unswept suffix, a resweep the whole fact.
   explicit IncrementalSetOp(SetOpKind op) : op_(op) {}
   IncrementalSetOp(const IncrementalSetOp&) = delete;
   IncrementalSetOp& operator=(const IncrementalSetOp&) = delete;
@@ -64,17 +61,17 @@ class IncrementalSetOp {
   SetOpKind op() const { return op_; }
 
   /// Applies one epoch's input deltas (left / right side of the operation)
-  /// and returns the output delta. With `pool` null or few touched facts the
-  /// apply is sequential and concatenates into `mgr` directly; otherwise the
-  /// touched facts are partitioned into at most `max_groups` fact ranges,
-  /// each range stages its concatenations into a StagingArena on the pool,
-  /// and the ranges are spliced into `mgr` in fact order — deterministic,
+  /// and returns the output delta. On a sequential `lane` or with a single
+  /// touched fact the apply is sequential and concatenates into `mgr`
+  /// directly; otherwise the touched facts are partitioned into at most
+  /// 2 × lane-width fact ranges, the lane's workers stage each range's
+  /// concatenations into a StagingArena, and the ranges are spliced into
+  /// `mgr` in fact order — deterministic,
   /// same tuples with probability-equal lineage (ids may differ from the
   /// sequential interning order; the ApplyMode::kStaged contract).
   /// The caller must hold exclusive access to the context for the duration.
   DeltaMap Apply(const DeltaMap& left, const DeltaMap& right,
-                 LineageManager& mgr, ThreadPool* pool = nullptr,
-                 std::size_t max_groups = 0);
+                 LineageManager& mgr, const PoolLane& lane = PoolLane());
 
   /// Retention rebase. After the leaves' storage retired every tuple ending
   /// at or below `watermark` (StoredRelation::Compact), the persisted sweep
@@ -128,9 +125,6 @@ class IncrementalSetOp {
     FactDelta delta;
     std::size_t out_new_begin = 0;
     bool resumed = false;
-    /// Which kernel swept this fact (counted into stats by Fold, which runs
-    /// on the caller thread — ApplyFact itself may run on a pool worker).
-    bool columnar = false;
     std::size_t windows_produced = 0;
   };
 

@@ -105,23 +105,13 @@ void SortTuples(std::vector<TpTuple>* tuples, SortMode mode) {
   }
 }
 
-void NoteSweeps(bool columnar, std::size_t count, LawaStats* stats) {
+void NoteSweeps(std::size_t count, LawaStats* stats) {
   if (count == 0) return;
-  static obs::Counter& scalar_sweeps =
-      obs::MetricsRegistry::Global().GetCounter(
-          "tpset_lawa_sweep_kernel_scalar_total",
-          "LAWA sweeps run by the scalar (tuple-at-a-time) kernel");
-  static obs::Counter& columnar_sweeps =
-      obs::MetricsRegistry::Global().GetCounter(
-          "tpset_lawa_sweep_kernel_columnar_total",
-          "LAWA sweeps run by the columnar (SoA) kernel");
-  if (columnar) {
-    columnar_sweeps.Increment(count);
-    if (stats != nullptr) stats->sweeps_columnar += count;
-  } else {
-    scalar_sweeps.Increment(count);
-    if (stats != nullptr) stats->sweeps_scalar += count;
-  }
+  static obs::Counter& sweeps = obs::MetricsRegistry::Global().GetCounter(
+      "tpset_lawa_sweep_kernel_columnar_total",
+      "LAWA sweeps run by the columnar (SoA) kernel");
+  sweeps.Increment(count);
+  if (stats != nullptr) stats->sweeps_columnar += count;
 }
 
 TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
@@ -154,21 +144,17 @@ TpRelation LawaSetOp(SetOpKind op, const TpRelation& r, const TpRelation& s,
   }
 
   // Steps 2-4: advance windows; filter on (λr, λs); concatenate lineages.
-  // Witnessed inputs lend their cached SoA view to a columnar sweep; a
-  // locally sorted copy gets a local projection inside SweepWindows.
-  const bool columnar = SweepsColumnar(rv->size() + sv->size());
+  // Witnessed inputs lend their cached SoA view to the sweep; a locally
+  // sorted copy gets a local projection inside SweepWindows.
   SweepInput r_in{rv->data(), rv->size(), std::nullopt};
   SweepInput s_in{sv->data(), sv->size(), std::nullopt};
-  if (columnar) {
-    if (r.known_sorted()) r_in.columns = r.columnar();
-    if (s.known_sorted()) s_in.columns = s.columnar();
-  }
+  if (r.known_sorted()) r_in.columns = r.columnar();
+  if (s.known_sorted()) s_in.columns = s.columnar();
   AdvancerCheckpoint ckpt;
-  SweepWindows(op, columnar, r_in, s_in, &ckpt,
-               [&](const LineageAwareWindow& w) {
-                 out.AddDerived(w.fact, w.t, Concat(op, mgr, w.lr, w.ls));
-               });
-  NoteSweeps(columnar, 1, stats);
+  SweepWindows(op, r_in, s_in, &ckpt, [&](const LineageAwareWindow& w) {
+    out.AddDerived(w.fact, w.t, Concat(op, mgr, w.lr, w.ls));
+  });
+  NoteSweeps(1, stats);
   if (stats != nullptr) {
     stats->windows_produced = ckpt.windows_produced;
     stats->output_tuples = out.size();

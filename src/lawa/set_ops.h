@@ -62,18 +62,15 @@ struct LawaStats {
   /// O(1) fact-tail lookups served by the storage tail map.
   std::size_t tail_hits = 0;
 
-  // Sweep-kernel counters (which kernel ran the advance loop; the size rule
-  // of lawa/sweep.h picks it). Sequential runs record 1 sweep; parallel runs one per
-  // morsel; incremental runs one per fact apply. EXPLAIN renders `kernel=`
-  // from these.
-  std::size_t sweeps_scalar = 0;
+  /// Columnar-kernel sweeps (lawa/sweep.h): 1 per sequential run, one per
+  /// morsel for parallel runs, one per fact apply for incremental runs.
   std::size_t sweeps_columnar = 0;
 };
 
-/// Records `count` sweeps run by the columnar (or scalar) kernel into the
-/// process metrics (tpset_lawa_sweep_kernel_*_total) and, if `stats` is
-/// non-null, its sweeps_columnar (or sweeps_scalar).
-void NoteSweeps(bool columnar, std::size_t count, LawaStats* stats);
+/// Records `count` columnar-kernel sweeps into the process metrics
+/// (tpset_lawa_sweep_kernel_columnar_total) and, if `stats` is non-null,
+/// its sweeps_columnar.
+void NoteSweeps(std::size_t count, LawaStats* stats);
 
 /// Computes r opTp s with LAWA. Inputs must satisfy ValidateSetOpInputs
 /// (asserted in debug builds, unchecked in release — use the Checked variant
@@ -130,11 +127,10 @@ LineageId Concat(SetOpKind op, Sink& sink, LineageId lr, LineageId ls) {
 
 /// Drives one scalar advancer sweep for `op`, invoking emit(w) for every
 /// window that survives the per-operation λ-filter (Algorithms 2-4). This is
-/// the paper-literal definition of the drain conditions and filters; the
-/// columnar kernel fuses the same loop (ColumnarAdvancer::Sweep), and
-/// SweepWindows (lawa/sweep.h) runs whichever kernel its caller picked.
-/// What the emit callback does with a surviving window (concatenate into
-/// the shared arena, defer, or stage thread-locally) is up to the caller. The loop
+/// the paper-literal definition of the drain conditions and filters — the
+/// reference the engine's columnar kernel (ColumnarAdvancer::Sweep, run by
+/// SweepWindows in lawa/sweep.h) is tested against. What the emit callback
+/// does with a surviving window is up to the caller. The loop
 /// conditions extend the paper's pseudocode to also drain still-valid
 /// tuples (see DESIGN.md, faithfulness note 3): windows keep coming while
 /// the operation can still produce output.

@@ -1,20 +1,14 @@
-// The one LAWA sweep and the one kernel rule. Sequential LawaSetOp, the
-// parallel morsel sweep and both incremental paths (resume from a
-// checkpoint, full resweep) all run SweepWindows with their own emit, and
-// all pick its kernel with SweepsColumnar applied to the tuples they are
-// about to sweep: the whole inputs (LawaSetOp, a resweep), the whole
-// operation once (LAWA-P, whose morsels then slice one shared view), or the
-// unswept suffix past the checkpoint cursors (a resume).
+// The one LAWA sweep of the engine. Sequential LawaSetOp, the parallel
+// morsel sweep and both incremental paths (resume from a checkpoint, full
+// resweep) all run SweepWindows with their own emit, and every one of them
+// runs the columnar kernel (lawa/columnar_advancer.h).
 //
+// The paper-literal scalar advancer (lawa/advancer.h, driven by
+// ForEachSurvivingWindow) is no engine path: it is the reference the
+// columnar kernel is tested against (tests/columnar_kernel_test.cc,
+// testing::ScalarLawaSetOp) and the baseline of bench_parallel's kernel A/B.
 // Both kernels emit the identical window stream and leave the identical
-// advancer status (tests/columnar_kernel_test.cc), so the choice moves only
-// cost. The columnar kernel (lawa/columnar_advancer.h) needs an SoA
-// projection of its inputs — four vector allocations per side when none is
-// cached — a cost argued to outweigh the fused loop on the incremental
-// engine's per-fact resumes, which typically sweep a handful of new tuples
-// (end to end, e2ebench's stream_maintain shows no difference either way).
-// Hence the rule: columnar at kColumnarMinTuples swept tuples or more, the
-// scalar advancer below.
+// advancer status, and checkpoints round-trip between them.
 #ifndef TPSET_LAWA_SWEEP_H_
 #define TPSET_LAWA_SWEEP_H_
 
@@ -24,47 +18,29 @@
 #include "common/setop.h"
 #include "lawa/advancer.h"
 #include "lawa/columnar_advancer.h"
-#include "lawa/set_ops.h"
 #include "relation/columnar.h"
 
 namespace tpset {
 
-/// Swept tuples (both sides, past the checkpoint cursors) at or above which
-/// the columnar kernel runs.
-inline constexpr std::size_t kColumnarMinTuples = 64;
-
-/// The kernel rule: true when a sweep over `swept_tuples` runs columnar.
-inline bool SweepsColumnar(std::size_t swept_tuples) {
-  return swept_tuples >= kColumnarMinTuples;
-}
-
 /// One input of a sweep: (fact, start)-sorted, duplicate-free tuples and,
 /// optionally, their SoA projection over the same indices (a relation's
-/// cached view, or a morsel's slice of one operation-wide view). `columns`
-/// is read only by a columnar sweep; a scalar sweep ignores it.
+/// cached view, or a morsel's slice of one operation-wide view). A side
+/// without columns is projected by the sweep itself.
 struct SweepInput {
   const TpTuple* tuples = nullptr;
   std::size_t n = 0;
   std::optional<ColumnSpan> columns;
 };
 
-/// Runs one LAWA sweep for `op` on the kernel the caller picked (`columnar`,
-/// from SweepsColumnar), invoking emit(w) for every window that survives the
-/// per-operation λ-filter. Resumes from `*ckpt` (a default-constructed
-/// checkpoint is a fresh sweep) and leaves the drain-point status,
-/// windows_produced included, in `*ckpt`. A columnar sweep over a side
-/// without columns projects only that side's unswept suffix, so an O(delta)
-/// resume stays O(delta).
+/// Runs one LAWA sweep for `op` on the columnar kernel, invoking emit(w) for
+/// every window that survives the per-operation λ-filter. Resumes from
+/// `*ckpt` (a default-constructed checkpoint is a fresh sweep) and leaves
+/// the drain-point status, windows_produced included, in `*ckpt`. A side
+/// without columns is projected over its unswept suffix only, so an
+/// O(delta) resume stays O(delta).
 template <typename Emit>
-void SweepWindows(SetOpKind op, bool columnar, const SweepInput& r,
-                  const SweepInput& s, AdvancerCheckpoint* ckpt, Emit&& emit) {
-  if (!columnar) {
-    LineageAwareWindowAdvancer adv(r.tuples, r.n, s.tuples, s.n);
-    adv.Restore(*ckpt);
-    ForEachSurvivingWindow(op, adv, emit);
-    *ckpt = adv.Checkpoint();
-    return;
-  }
+void SweepWindows(SetOpKind op, const SweepInput& r, const SweepInput& s,
+                  AdvancerCheckpoint* ckpt, Emit&& emit) {
   // Sides projected here cover only their unswept suffix: the checkpoint
   // cursors shift into suffix space for the sweep and back afterwards.
   ColumnarView local_r, local_s;

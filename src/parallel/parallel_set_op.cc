@@ -61,10 +61,10 @@ struct StagedSweep {
 // the cross-check is the parallel_set_op_test property suite), collected
 // into the result's sink. Reads shared data only.
 template <typename Sweep>
-void SweepMorsel(SetOpKind op, bool columnar, const SweepInput& r,
-                 const SweepInput& s, Sweep* out) {
+void SweepMorsel(SetOpKind op, const SweepInput& r, const SweepInput& s,
+                 Sweep* out) {
   AdvancerCheckpoint ckpt;
-  SweepWindows(op, columnar, r, s, &ckpt,
+  SweepWindows(op, r, s, &ckpt,
                [&](const LineageAwareWindow& w) { out->Add(op, w); });
   out->windows_produced = ckpt.windows_produced;
 }
@@ -72,8 +72,8 @@ void SweepMorsel(SetOpKind op, bool columnar, const SweepInput& r,
 }  // namespace
 
 void ParallelSortBatch(std::vector<TpTuple>* const* arrays, std::size_t count,
-                       SortMode mode, ThreadPool* pool) {
-  const std::size_t chunks = pool == nullptr ? 1 : pool->size();
+                       SortMode mode, const PoolLane& lane) {
+  const std::size_t chunks = lane.width();
 
   // One merge-sort state per array still large enough to split; small arrays
   // are handled sequentially up front. All arrays share each round of task
@@ -104,7 +104,7 @@ void ParallelSortBatch(std::vector<TpTuple>* const* arrays, std::size_t count,
       TpTuple* base = job.base;
       for (std::size_t c = 0; c + 1 < job.bounds.size(); ++c) {
         std::size_t lo = job.bounds[c], hi = job.bounds[c + 1];
-        sorted.push_back(pool->Submit([base, lo, hi, mode]() {
+        sorted.push_back(lane.Submit([base, lo, hi, mode]() {
           // SortTuples operates on a vector; sort the span directly instead.
           if (mode == SortMode::kComparison) {
             std::sort(base + lo, base + hi, FactTimeOrder());
@@ -132,7 +132,7 @@ void ParallelSortBatch(std::vector<TpTuple>* const* arrays, std::size_t count,
       for (std::size_t i = 0; i + 2 < job.bounds.size(); i += 2) {
         std::size_t lo = job.bounds[i], mid = job.bounds[i + 1],
                     hi = job.bounds[i + 2];
-        merged.push_back(pool->Submit([base, lo, mid, hi]() {
+        merged.push_back(lane.Submit([base, lo, mid, hi]() {
           std::inplace_merge(base + lo, base + mid, base + hi, FactTimeOrder());
         }));
         next.push_back(hi);
@@ -143,12 +143,6 @@ void ParallelSortBatch(std::vector<TpTuple>* const* arrays, std::size_t count,
     }
     for (std::future<void>& f : merged) f.get();
   }
-}
-
-void ParallelSortTuples(std::vector<TpTuple>* tuples, SortMode mode,
-                        ThreadPool* pool) {
-  std::vector<TpTuple>* arrays[] = {tuples};
-  ParallelSortBatch(arrays, 1, mode, pool);
 }
 
 ParallelSetOpAlgorithm::ParallelSetOpAlgorithm(std::size_t num_threads,
@@ -162,11 +156,12 @@ ParallelSetOpAlgorithm::ParallelSetOpAlgorithm(std::size_t num_threads,
 
 ParallelSetOpAlgorithm::~ParallelSetOpAlgorithm() = default;
 
-ThreadPool* ParallelSetOpAlgorithm::pool() const {
+const PoolLane& ParallelSetOpAlgorithm::OwnLane() const {
   std::call_once(pool_once_, [this]() {
     pool_ = std::make_unique<ThreadPool>(num_threads_);
+    lane_ = PoolLane(pool_.get(), num_threads_);
   });
-  return pool_.get();
+  return lane_;
 }
 
 TpRelation ParallelSetOpAlgorithm::Compute(SetOpKind op, const TpRelation& r,
@@ -174,13 +169,10 @@ TpRelation ParallelSetOpAlgorithm::Compute(SetOpKind op, const TpRelation& r,
   return ComputeSequenced(op, r, s, /*seq=*/nullptr, /*ticket=*/0);
 }
 
-TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
-                                                    const TpRelation& r,
-                                                    const TpRelation& s,
-                                                    ApplySequencer* seq,
-                                                    std::size_t ticket,
-                                                    LawaStats* stats,
-                                                    obs::Span* span) const {
+TpRelation ParallelSetOpAlgorithm::ComputeSequenced(
+    SetOpKind op, const TpRelation& r, const TpRelation& s,
+    ApplySequencer* seq, std::size_t ticket, LawaStats* stats,
+    obs::Span* span, const PoolLane* lane) const {
   obs::SpanTimer span_timer(span);
   if (num_threads_ <= 1) {
     // Degenerate pool: the sequential algorithm *is* the partition sweep.
@@ -201,10 +193,10 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
     turn.Release();
     return out;
   }
+  if (lane == nullptr) lane = &OwnLane();
   TurnGuard turn(seq, ticket);  // released on every path, including unwind
 
   assert(ValidateSetOpInputs(r, s).ok());
-  ThreadPool* p = pool();
   TpRelation out(r.context(), r.schema(),
                  "(" + r.name() + " " + SetOpName(op) + " " + s.name() + ")");
   std::size_t sort_skipped = 0;
@@ -234,7 +226,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
       ss = s.tuples();
       arrays[to_sort++] = &ss;
     }
-    if (to_sort > 0) ParallelSortBatch(arrays, to_sort, sort_mode_, p);
+    if (to_sort > 0) ParallelSortBatch(arrays, to_sort, sort_mode_, *lane);
     if (!r.known_sorted()) {
       rdata = rs.data();
       rn = rs.size();
@@ -279,34 +271,28 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   double split_ms = MsSince(t0);
   t0 = Clock::now();
 
-  // The sweep kernel is picked once per operation, on the combined input
-  // size (lawa/sweep.h). Columnar morsels sweep slices of one shared SoA
-  // view: witnessed inputs lend the relation's cached view, locally sorted
-  // copies get a local projection. The builds count into advance_ms — they
-  // are work the columnar kernel needs. The local views outlive every
-  // morsel sweep (the batch completes before they leave scope).
-  const bool columnar = SweepsColumnar(rn + sn);
+  // Morsels sweep slices of one shared SoA view per input: witnessed
+  // inputs lend the relation's cached view, locally sorted copies get a
+  // local projection. The builds count into advance_ms — they are work the
+  // columnar kernel needs. The local views outlive every morsel sweep (the
+  // batch completes before they leave scope).
   ColumnarView local_rview, local_sview;
   ColumnSpan rcols, scols;
-  if (columnar) {
-    if (r.known_sorted()) {
-      rcols = r.columnar();
-    } else {
-      local_rview.Build(rdata, rn);
-      rcols = local_rview.Columns();
-    }
-    if (s.known_sorted()) {
-      scols = s.columnar();
-    } else {
-      local_sview.Build(sdata, sn);
-      scols = local_sview.Columns();
-    }
+  if (r.known_sorted()) {
+    rcols = r.columnar();
+  } else {
+    local_rview.Build(rdata, rn);
+    rcols = local_rview.Columns();
   }
-  auto morsel_input = [columnar](const TpTuple* data, const ColumnSpan& cols,
-                                 std::size_t begin, std::size_t end) {
-    SweepInput in{data + begin, end - begin, std::nullopt};
-    if (columnar) in.columns = cols.Slice(begin, end);
-    return in;
+  if (s.known_sorted()) {
+    scols = s.columnar();
+  } else {
+    local_sview.Build(sdata, sn);
+    scols = local_sview.Columns();
+  }
+  auto morsel_input = [](const TpTuple* data, const ColumnSpan& cols,
+                         std::size_t begin, std::size_t end) {
+    return SweepInput{data + begin, end - begin, cols.Slice(begin, end)};
   };
 
   // Phase 3: sweep morsels on the work-stealing batch; each result lands in
@@ -321,7 +307,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   } else {
     pending.resize(n_morsels);
   }
-  MorselBatch batch(p, n_morsels, [&](std::size_t i) {
+  MorselBatch batch(*lane, n_morsels, [&](std::size_t i) {
     const FactPartition& part = plan.morsels[i];
     const SweepInput r_in =
         morsel_input(rdata, rcols, part.r_begin, part.r_end);
@@ -329,10 +315,10 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
         morsel_input(sdata, scols, part.s_begin, part.s_end);
     if (staged) {
       StagedSweep sweep{StagingArena(frozen, hash_consing), {}, 0};
-      SweepMorsel(op, columnar, r_in, s_in, &sweep);
+      SweepMorsel(op, r_in, s_in, &sweep);
       staged_results[i] = std::move(sweep);
     } else {
-      SweepMorsel(op, columnar, r_in, s_in, &pending[i]);
+      SweepMorsel(op, r_in, s_in, &pending[i]);
     }
   });
 
@@ -385,7 +371,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
   local_stats.morsels_run = batch.morsels_run();
   local_stats.morsels_stolen = batch.morsels_stolen();
   local_stats.facts_split = plan.facts_split;
-  NoteSweeps(columnar, n_morsels, &local_stats);
+  NoteSweeps(n_morsels, &local_stats);
   if (stats != nullptr) *stats = local_stats;
   if (span != nullptr) {
     span->AddChild("sort")->wall_ms = sort_ms;
@@ -395,7 +381,6 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(SetOpKind op,
     span->AttachStats(local_stats);
     span->SetAttr("out", out.size());
     span->SetAttr("morsels", batch.morsels_run());
-    span->SetAttr("kernel", std::string(columnar ? "columnar" : "scalar"));
   }
   return out;
 }

@@ -1,4 +1,4 @@
-// Partitioned parallel LAWA: the paper's advancer run per fact-range
+// Partitioned parallel LAWA: the paper's sweep run per fact-range
 // partition on a thread pool.
 //
 // Execution of one operation (Fig. 5 pipeline, parallelized):
@@ -10,7 +10,7 @@
 //                then BuildMorsels refines the plan into ~morsel_size
 //                chunks, time-splitting facts heavier than the budget at
 //                clean time boundaries (see parallel/scheduler.h);
-//   3. advance — morsels are swept by the sequential advancer on a
+//   3. advance — morsels are swept by the columnar kernel on a
 //                MorselBatch (per-worker deques + work stealing); what
 //                happens to the surviving windows depends on the apply mode
 //                (below);
@@ -65,17 +65,17 @@ enum class ApplyMode {
   kStaged = 1,        ///< per-partition staging arenas + sequential splice
 };
 
-/// LAWA over fact-range partitions on a private thread pool. Registered as
-/// "LAWA-P"; supports all three operations (Table II row of LAWA).
+/// LAWA over fact-range partitions with `num_threads` workers. Registered
+/// as "LAWA-P"; supports all three operations (Table II row of LAWA).
 class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
  public:
   /// `num_threads` <= 1 degrades to plain sequential LawaSetOp (no pool is
-  /// created; `apply_mode` is then irrelevant — the sequential algorithm is
-  /// bit-identical by definition). The pool itself is created lazily on
-  /// first use. `morsel_size` is the combined (r + s) tuple budget per
-  /// morsel (scheduler.h); 0 picks MorselAutoBudget, 1 is legal (every
-  /// tuple its own morsel — the property tests use it). Morsel granularity
-  /// changes scheduling, never the output.
+  /// used; `apply_mode` is then irrelevant — the sequential algorithm is
+  /// bit-identical by definition). The instance holds no threads until a
+  /// call without a lane first needs its own pool. `morsel_size` is the
+  /// combined (r + s) tuple budget per morsel (scheduler.h); 0 picks
+  /// MorselAutoBudget, 1 is legal (every tuple its own morsel — the property
+  /// tests use it). Morsel granularity changes scheduling, never the output.
   explicit ParallelSetOpAlgorithm(std::size_t num_threads,
                                   SortMode sort_mode = SortMode::kComparison,
                                   ApplyMode apply_mode = ApplyMode::kBitIdentical,
@@ -85,9 +85,9 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   std::string name() const override { return "LAWA-P"; }
   bool Supports(SetOpKind) const override { return true; }
 
-  /// Standalone entry point (registry / benchmarks). The caller must not
-  /// mutate the shared context concurrently — the same contract as
-  /// sequential LawaSetOp.
+  /// Standalone entry point (registry / benchmarks): ComputeSequenced on
+  /// the instance's own pool. The caller must not mutate the shared
+  /// context concurrently — the same contract as sequential LawaSetOp.
   TpRelation Compute(SetOpKind op, const TpRelation& r,
                      const TpRelation& s) const override;
 
@@ -110,16 +110,22 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   /// the rest of the overlapped span (sweeps + waits), so the two still sum
   /// to the phase-3+4 wall. "advance" includes staged-mode lineage staging
   /// and any columnar view builds.
+  ///
+  /// `lane`: the pool share the phases run on (an executor hands a lane of
+  /// its one pool; the call must not itself run on a worker of that pool).
+  /// Null uses the instance's own pool of num_threads() workers, created on
+  /// first use. Ignored when num_threads() <= 1.
   TpRelation ComputeSequenced(SetOpKind op, const TpRelation& r,
                               const TpRelation& s, ApplySequencer* seq,
                               std::size_t ticket, LawaStats* stats = nullptr,
-                              obs::Span* span = nullptr) const;
+                              obs::Span* span = nullptr,
+                              const PoolLane* lane = nullptr) const;
 
   std::size_t num_threads() const { return num_threads_; }
   ApplyMode apply_mode() const { return apply_mode_; }
 
  private:
-  ThreadPool* pool() const;
+  const PoolLane& OwnLane() const;
 
   std::size_t num_threads_;
   SortMode sort_mode_;
@@ -127,17 +133,17 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   std::size_t morsel_size_;
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;
+  mutable PoolLane lane_;  // over pool_
 };
 
-/// Sorts into (fact, start, end) order using `pool`: chunks are sorted as
-/// pool tasks (each with `mode`, see SortTuples) and merged pairwise.
-void ParallelSortTuples(std::vector<TpTuple>* tuples, SortMode mode,
-                        ThreadPool* pool);
-
-/// Sorts `count` independent arrays at once, interleaving their chunk and
-/// merge tasks on one pool so no array's merge tail leaves workers idle.
+/// Sorts `count` independent arrays into (fact, start, end) order at once:
+/// each array is cut into one chunk per unit of `lane` width, the chunks
+/// sorted as lane tasks (each with `mode`, see SortTuples) and merged
+/// pairwise, the arrays' chunk and merge tasks interleaved so no array's
+/// merge tail leaves workers idle. A sequential lane sorts on the calling
+/// thread.
 void ParallelSortBatch(std::vector<TpTuple>* const* arrays, std::size_t count,
-                       SortMode mode, ThreadPool* pool);
+                       SortMode mode, const PoolLane& lane);
 
 }  // namespace tpset
 

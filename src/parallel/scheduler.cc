@@ -175,7 +175,7 @@ struct MorselBatch::State {
   std::exception_ptr error;
 };
 
-MorselBatch::MorselBatch(ThreadPool* pool, std::size_t count,
+MorselBatch::MorselBatch(const PoolLane& lane, std::size_t count,
                          std::function<void(std::size_t)> body)
     : state_(std::make_shared<State>()) {
   // Register the whole scheduler metric family up front. Steals and splits
@@ -189,7 +189,7 @@ MorselBatch::MorselBatch(ThreadPool* pool, std::size_t count,
   state_->body = std::move(body);
   state_->done.assign(count, 0);
   const std::size_t workers =
-      std::max<std::size_t>(1, std::min(pool == nullptr ? 1 : pool->size(), count));
+      std::max<std::size_t>(1, std::min(lane.width(), count));
   state_->deques.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     state_->deques.push_back(std::make_unique<State::Deque>());
@@ -203,14 +203,11 @@ MorselBatch::MorselBatch(ThreadPool* pool, std::size_t count,
     d.tail = d.items.size();
   }
   if (count == 0) return;
-  if (pool == nullptr) {
-    RunWorker(state_, 0);
-    return;
-  }
   for (std::size_t w = 0; w < workers; ++w) {
     std::shared_ptr<State> st = state_;
-    // Fire-and-forget: completion is tracked through State, not futures.
-    pool->Submit([st, w]() { RunWorker(st, w); });
+    // Fire-and-forget: completion is tracked through State, not futures. A
+    // sequential lane runs the one worker inline.
+    lane.Submit([st, w]() { RunWorker(st, w); });
   }
 }
 

@@ -111,8 +111,10 @@ MorselPlan BuildMorsels(const TpTuple* r, const TpTuple* s,
 /// caller-owned slots alive, matching std::async semantics).
 class MorselBatch {
  public:
-  /// Starts `count` morsels on min(pool->size(), count) workers.
-  MorselBatch(ThreadPool* pool, std::size_t count,
+  /// Starts `count` morsels on min(lane width, count) tasks of `lane`. A
+  /// sequential lane runs every morsel on the calling thread before the
+  /// constructor returns.
+  MorselBatch(const PoolLane& lane, std::size_t count,
               std::function<void(std::size_t)> body);
 
   MorselBatch(const MorselBatch&) = delete;

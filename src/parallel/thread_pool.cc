@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.h"
 
 #include <chrono>
+#include <cstdint>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -9,9 +10,16 @@ namespace tpset {
 
 namespace {
 
-// Pool-wide metrics, shared by every ThreadPool in the process: queue depth
-// (pending tasks across pools), tasks executed, and busy time — utilization
-// is busy_usec / (size * wall) for whatever window the scraper tracks.
+// Pool-wide metrics, shared by every ThreadPool in the process: worker
+// threads, queue depth (pending tasks across pools and lanes), tasks
+// executed, and busy time — utilization is busy_usec / (workers * wall) for
+// whatever window the scraper tracks.
+obs::Gauge& WorkersGauge() {
+  static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
+      "tpset_pool_workers", "worker threads across all thread pools");
+  return g;
+}
+
 obs::Gauge& QueueDepthGauge() {
   static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
       "tpset_pool_queue_depth", "pending tasks across all thread pools");
@@ -34,11 +42,7 @@ obs::Counter& BusyUsecCounter() {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) num_threads = 1;
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
-  }
+  Grow(num_threads == 0 ? 1 : num_threads);
 }
 
 ThreadPool::~ThreadPool() {
@@ -48,18 +52,35 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
+  WorkersGauge().Add(-static_cast<std::int64_t>(workers_.size()));
+}
+
+void ThreadPool::Grow(std::size_t num_threads) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopping_ || num_threads <= workers_.size()) return;
+  WorkersGauge().Add(static_cast<std::int64_t>(num_threads - workers_.size()));
+  while (workers_.size() < num_threads) {
+    workers_.emplace_back([this]() { WorkerLoop(); });
+  }
+}
+
+std::size_t ThreadPool::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return workers_.size();
 }
 
 void ThreadPool::Enqueue(std::function<void()> job) {
   std::size_t depth;
+  std::size_t workers;
   bool newly_saturated = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(job));
     depth = queue_.size();
+    workers = workers_.size();
     // Saturation: every worker busy and a full round of tasks per worker
     // already waiting. Edge-triggered (see saturated_ in the header).
-    const std::size_t threshold = workers_.size() * 8;
+    const std::size_t threshold = workers * 8;
     if (!saturated_ && depth >= threshold) {
       saturated_ = true;
       newly_saturated = true;
@@ -70,8 +91,7 @@ void ThreadPool::Enqueue(std::function<void()> job) {
   QueueDepthGauge().Add(1);
   if (newly_saturated) {
     obs::EmitEvent(obs::Severity::kWarn, "pool",
-                   "pool saturated depth=%zu workers=%zu", depth,
-                   workers_.size());
+                   "pool saturated depth=%zu workers=%zu", depth, workers);
   }
   cv_.notify_one();
 }
@@ -92,6 +112,50 @@ void ThreadPool::WorkerLoop() {
     BusyUsecCounter().Increment(obs::ElapsedUsec(t0));
     TasksCounter().Increment();
   }
+}
+
+struct PoolLane::State {
+  ThreadPool* pool;
+  std::mutex mu;
+  std::deque<std::function<void()>> queue;
+  std::size_t running = 0;  // drain tasks submitted to the pool
+};
+
+PoolLane::PoolLane(ThreadPool* pool, std::size_t width)
+    : width_(pool != nullptr && width > 1 ? width : 1) {
+  if (width_ > 1) state_.reset(new State{pool, {}, {}, 0});
+}
+
+void PoolLane::Enqueue(std::function<void()> job) const {
+  if (state_ == nullptr) {
+    job();
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->queue.push_back(std::move(job));
+    QueueDepthGauge().Add(1);  // pending until a drainer takes it
+    if (state_->running == width_) return;  // a drainer will take it
+    ++state_->running;
+  }
+  // One drain task per free slot runs the lane's jobs until none is left,
+  // so the lane never has more than `width` workers busy.
+  state_->pool->Submit([st = state_]() {
+    for (;;) {
+      std::function<void()> next;
+      {
+        std::lock_guard<std::mutex> lock(st->mu);
+        if (st->queue.empty()) {
+          --st->running;
+          return;
+        }
+        next = std::move(st->queue.front());
+        st->queue.pop_front();
+      }
+      QueueDepthGauge().Add(-1);
+      next();
+    }
+  });
 }
 
 }  // namespace tpset

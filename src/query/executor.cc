@@ -1,5 +1,6 @@
 #include "query/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <utility>
@@ -152,13 +153,29 @@ Result<EpochId> QueryExecutor::Append(const std::string& relation,
   return epoch;
 }
 
+ThreadPool* QueryExecutor::Pool(std::size_t width) const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(width);
+  } else {
+    pool_->Grow(width);
+  }
+  return pool_.get();
+}
+
+PoolLane QueryExecutor::Lane(std::size_t width) const {
+  return width <= 1 ? PoolLane() : PoolLane(Pool(width), width);
+}
+
 void QueryExecutor::ScheduleCompaction(StoredRelation& stored) {
   if (stored.compaction_debt() < kCompactDebtThreshold) return;
-  std::lock_guard<std::mutex> lock(bg_mu_);
-  if (!bg_scheduled_.insert(&stored).second) return;  // step already in flight
-  if (bg_pool_ == nullptr) bg_pool_ = std::make_unique<ThreadPool>(1);
+  {
+    std::lock_guard<std::mutex> lock(bg_mu_);
+    if (!bg_scheduled_.insert(&stored).second) return;  // step in flight
+  }
   StoredRelation* rel = &stored;
-  bg_pool_->Submit([this, rel]() {
+  Pool(1)->Submit([this, rel]() {
+    // Sequential merge on this worker: a pool task never waits on another.
     const std::size_t debt = rel->CompactStep(kCompactBudgetRuns);
     {
       std::lock_guard<std::mutex> lock(bg_mu_);
@@ -182,7 +199,7 @@ Result<std::size_t> QueryExecutor::Retain(const std::string& relation,
   StoredRelation& stored = it->second;
   TPSET_RETURN_NOT_OK(stored.SetWatermark(watermark));
   const std::size_t retired_before = stored.stats().tuples_retired;
-  stored.Compact(CompactionPool());
+  CompactLocked(stored);
   for (auto& [name, cq] : continuous_) {
     (void)name;
     if (cq->Reads(relation)) cq->Rebase();
@@ -201,16 +218,21 @@ Status QueryExecutor::Compact(const std::string& relation) {
     return Status::NotFound("no relation named '" + relation +
                             "' is registered");
   }
-  it->second.Compact(CompactionPool());
+  CompactLocked(it->second);
   return Status::OK();
 }
 
-ThreadPool* QueryExecutor::CompactionPool() const {
-  // Compactions run under the write fence, so no continuous query is
-  // propagating and its pool is idle — reuse the widest one for the
-  // fact-range-parallel merge instead of compacting sequentially.
-  return continuous_pools_.empty() ? nullptr
-                                   : continuous_pools_.rbegin()->second.get();
+void QueryExecutor::CompactLocked(StoredRelation& stored) {
+  // Under the write fence no continuous query is propagating, so the merge
+  // borrows the width of the widest one. A background step of the same
+  // relation may hold one worker, blocked on the compaction claim until
+  // this merge finishes; width >= 2 leaves the merge at least one other.
+  std::size_t width = 1;
+  for (const auto& [name, cq] : continuous_) {
+    (void)name;
+    width = std::max(width, cq->options().num_threads);
+  }
+  stored.Compact(Lane(width));
 }
 
 Result<ContinuousQuery*> QueryExecutor::RegisterContinuous(
@@ -232,15 +254,9 @@ Result<ContinuousQuery*> QueryExecutor::RegisterContinuous(
     return Status::InvalidArgument("continuous query '" + name +
                                    "' is already registered");
   }
-  ThreadPool* pool = nullptr;
-  if (options.num_threads > 1) {
-    std::unique_ptr<ThreadPool>& slot = continuous_pools_[options.num_threads];
-    if (slot == nullptr) slot = std::make_unique<ThreadPool>(options.num_threads);
-    pool = slot.get();
-  }
   Result<std::unique_ptr<ContinuousQuery>> cq = ContinuousQuery::Compile(
       name, query, [this](const std::string& rel) { return FindStored(rel); },
-      ctx_, options, pool);
+      ctx_, options, Lane(options.num_threads));
   if (!cq.ok()) return cq.status();
   ContinuousQuery* ptr = cq->get();
   continuous_.emplace(name, std::move(*cq));
@@ -326,18 +342,6 @@ Result<TpRelation> QueryExecutor::Execute(const std::string& query,
   return Execute(**parsed, options, algorithm);
 }
 
-const ParallelSetOpAlgorithm* QueryExecutor::ParallelAlgoFor(
-    const ExecOptions& options) const {
-  std::lock_guard<std::mutex> lock(parallel_mu_);
-  std::unique_ptr<ParallelSetOpAlgorithm>& slot =
-      parallel_algos_[{options.num_threads, options.apply_mode}];
-  if (slot == nullptr) {
-    slot = std::make_unique<ParallelSetOpAlgorithm>(
-        options.num_threads, SortMode::kComparison, options.apply_mode);
-  }
-  return slot.get();
-}
-
 namespace {
 
 // First operator of the tree (post-order) that `algorithm` cannot compute;
@@ -371,9 +375,8 @@ Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
   // LawaSetOp, and it records its own phase span — profiled plain LAWA runs
   // through it so sequential profiles carry the same sections as parallel
   // ones.
-  if (root != nullptr && algorithm->name() == "LAWA") {
-    algorithm = ParallelAlgoFor(options);
-  }
+  const ParallelSetOpAlgorithm profiled(1);
+  if (root != nullptr && algorithm->name() == "LAWA") algorithm = &profiled;
   Result<TpRelation> out = [&]() -> Result<TpRelation> {
     {
       obs::SpanTimer analyze(root == nullptr ? nullptr
@@ -416,8 +419,10 @@ Result<TpRelation> QueryExecutor::ExecuteSequential(
   if (!right.ok()) return right;
   if (const auto* parallel =
           dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm)) {
+    const PoolLane lane = Lane(parallel->num_threads());
     return parallel->ComputeSequenced(node.op, *left, *right, /*seq=*/nullptr,
-                                      /*ticket=*/0, /*stats=*/nullptr, child);
+                                      /*ticket=*/0, /*stats=*/nullptr, child,
+                                      &lane);
   }
   obs::SpanTimer timer(child);
   TpRelation out = algorithm->Compute(node.op, *left, *right);
@@ -431,14 +436,21 @@ Result<TpRelation> QueryExecutor::ExecuteConcurrent(
     const SetOpAlgorithm* algorithm) const {
   const auto t0 = std::chrono::steady_clock::now();
   if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
-  // Plain LAWA is transparently upgraded to its partitioned variant; any
-  // other algorithm keeps its own Compute but is serialized per node (see
-  // below), since only the partitioned algorithm can defer arena writes.
+  // Plain LAWA is transparently upgraded to its partitioned variant, built
+  // per call (it holds no threads); any other algorithm keeps its own
+  // Compute but is serialized per node (see below), since only the
+  // partitioned algorithm can defer arena writes. Partitioned nodes run on
+  // one lane of the executor's pool with the algorithm's width, shared by
+  // every node, so concurrent subtrees together stay within that width.
+  const ParallelSetOpAlgorithm upgraded(options.num_threads,
+                                        SortMode::kComparison,
+                                        options.apply_mode);
   const auto* parallel = dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm);
   if (parallel == nullptr && algorithm->name() == "LAWA") {
-    parallel = ParallelAlgoFor(options);
+    parallel = &upgraded;
     algorithm = parallel;
   }
+  const PoolLane lane = Lane(parallel != nullptr ? parallel->num_threads() : 1);
   obs::Span* profile_root =
       options.profile == nullptr ? nullptr : &options.profile->root();
   obs::SpanTimer profile_timer(profile_root);
@@ -490,7 +502,8 @@ Result<TpRelation> QueryExecutor::ExecuteConcurrent(
     ApplySequencer* seq = &sequencer;
     SetOpKind op = node.op;
     return std::async(std::launch::async,
-                      [left, right, ticket, algo, par, seq, op, child]() {
+                      [left, right, ticket, algo, par, lane, seq, op,
+                       child]() {
                         // The guard keeps the ticket sequence alive on every
                         // exit, including exceptions rethrown by get() — an
                         // unreleased ticket would hang all later turns.
@@ -504,7 +517,7 @@ Result<TpRelation> QueryExecutor::ExecuteConcurrent(
                           turn.Disarm();  // ComputeSequenced owns the ticket
                           return Result<TpRelation>(par->ComputeSequenced(
                               op, *l, *r, seq, ticket, /*stats=*/nullptr,
-                              child));
+                              child, &lane));
                         }
                         // Foreign algorithm: its whole compute is the turn.
                         turn.Wait();

@@ -25,15 +25,18 @@ namespace tpset {
 /// Execution knobs for one query.
 struct ExecOptions {
   /// 1 evaluates sequentially (the seed behavior). Above 1, leaf set
-  /// operations run the partitioned parallel algorithm on this many pool
-  /// threads AND independent query subtrees are evaluated concurrently.
-  /// With apply_mode kBitIdentical, results are bit-identical to sequential
-  /// execution either way (see DESIGN.md, "Partitioned parallel execution").
+  /// operations run the partitioned parallel algorithm with this many
+  /// workers of the executor's one pool (which grows to the widest width
+  /// any call asked for) AND independent query subtrees are evaluated
+  /// concurrently. With apply_mode kBitIdentical, results are bit-identical
+  /// to sequential execution either way (see DESIGN.md, "Partitioned
+  /// parallel execution").
   ///
   /// Applies when the algorithm is defaulted or is plain "LAWA". An
   /// explicitly passed ParallelSetOpAlgorithm keeps its own thread count
-  /// and apply mode (the instance was configured deliberately); any other
-  /// explicit algorithm gets subtree concurrency only, serialized per node.
+  /// and apply mode (the instance was configured deliberately) but runs on
+  /// the executor's pool too; any other explicit algorithm gets subtree
+  /// concurrency only, serialized per node.
   std::size_t num_threads = 1;
 
   /// How parallel set operations mutate the shared lineage arena (only
@@ -50,7 +53,7 @@ struct ExecOptions {
   /// one span per plan node ("relation <name>" leaves, operator nodes with
   /// sort/split/advance/apply phase children and LawaStats attached).
   /// Results are unaffected; the caller owns the profile and must keep it
-  /// alive for the call. Not part of the algorithm cache key.
+  /// alive for the call.
   obs::QueryProfile* profile = nullptr;
 };
 
@@ -199,15 +202,16 @@ class QueryExecutor {
 
   const std::shared_ptr<TpContext>& context() const { return ctx_; }
 
-  /// The executor-owned parallel algorithm for a (thread count, apply mode)
-  /// combination: lazily built, cached for the executor's lifetime (a
-  /// handful of distinct configs in practice; each retains its pool threads
-  /// once first used). Exposed so tools that execute plans themselves —
-  /// EXPLAIN's per-node phase timing — reuse the warm pools instead of
-  /// paying thread startup inside their measurements.
-  const ParallelSetOpAlgorithm* ParallelAlgoFor(const ExecOptions& options) const;
+  /// A `width`-wide lane of the executor's one pool (sequential, creating
+  /// no pool, when `width` <= 1). Every parallel path runs on one; exposed
+  /// so EXPLAIN reuses the warm workers. Thread-safe.
+  PoolLane Lane(std::size_t width) const;
 
  private:
+  /// The one pool, created on first call and grown to at least `width`
+  /// workers; lanes and background compaction steps run on it.
+  ThreadPool* Pool(std::size_t width) const;
+
   /// The sequential bottom-up evaluator behind every num_threads <= 1
   /// Execute: evaluates `node`, recording a span per plan node under `span`
   /// when it is non-null. A ParallelSetOpAlgorithm records its own phase
@@ -220,15 +224,17 @@ class QueryExecutor {
                                        const ExecOptions& options,
                                        const SetOpAlgorithm* algorithm) const;
 
-  /// The widest idle continuous-query pool for parallel compaction (null
-  /// when no parallel continuous query ever registered — compact
-  /// sequentially then).
-  ThreadPool* CompactionPool() const;
+  /// Compacts `stored` under the write fence, merging with the widest
+  /// registered continuous query's width (sequentially when none is
+  /// parallel).
+  void CompactLocked(StoredRelation& stored);
 
   /// Queues one budgeted background compaction step for `stored` when its
   /// debt crossed kCompactDebtThreshold (deduplicated per relation; the step
-  /// reschedules itself while debt remains). Called by Append after the
-  /// epoch lands, so appends never pay the merge themselves.
+  /// reschedules itself while debt remains). The step occupies one pool
+  /// worker (width 1) and merges sequentially on it, so it never waits on
+  /// other pool tasks. Called by Append after the epoch lands, so appends
+  /// never pay the merge themselves.
   void ScheduleCompaction(StoredRelation& stored);
 
   /// Budget: tail runs one background compaction step may claim.
@@ -249,20 +255,15 @@ class QueryExecutor {
   // Mutable so const introspection can take the fence.
   mutable std::mutex write_fence_;
   std::map<std::string, std::unique_ptr<ContinuousQuery>> continuous_;
-  // Continuous queries with the same thread count share one worker pool
-  // (Append applies them one at a time, so at most one pool is ever busy).
-  std::map<std::size_t, std::unique_ptr<ThreadPool>> continuous_pools_;
-  mutable std::mutex parallel_mu_;
-  mutable std::map<std::pair<std::size_t, ApplyMode>,
-                   std::unique_ptr<ParallelSetOpAlgorithm>>
-      parallel_algos_;
-  // Background compaction: a lazily created single worker draining budgeted
-  // CompactStep tasks; bg_scheduled_ deduplicates one in-flight step per
-  // relation. Declared after catalog_ so destruction joins (and runs) any
-  // pending steps while the relations they reference are still alive.
+  // Background compaction: bg_scheduled_ deduplicates one in-flight step
+  // per relation.
   mutable std::mutex bg_mu_;
   std::set<StoredRelation*> bg_scheduled_;
-  std::unique_ptr<ThreadPool> bg_pool_;
+  // The one pool (see Pool). Declared last, so destruction joins it — and
+  // runs every queued background step — while catalog_, continuous_ and
+  // the bg_* members its tasks reference are still alive.
+  mutable std::mutex pool_mu_;
+  mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace tpset

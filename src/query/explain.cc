@@ -30,7 +30,7 @@ std::size_t DistinctFacts(const TpRelation& r, const TpRelation& s) {
 // sections from identical span shapes.
 Result<TpRelation> ExplainNode(const QueryExecutor& exec, const QueryNode& q,
                                const ParallelSetOpAlgorithm& parallel,
-                               obs::Span* span) {
+                               const PoolLane& lane, obs::Span* span) {
   if (q.kind == QueryNode::Kind::kRelation) {
     Result<const TpRelation*> rel = exec.Find(q.relation_name);
     if (!rel.ok()) return rel.status();
@@ -41,13 +41,14 @@ Result<TpRelation> ExplainNode(const QueryExecutor& exec, const QueryNode& q,
   }
   obs::Span* child = span->AddChild(SetOpName(q.op));
   child->SetAttr("kind", "setop");
-  Result<TpRelation> left = ExplainNode(exec, *q.left, parallel, child);
+  Result<TpRelation> left = ExplainNode(exec, *q.left, parallel, lane, child);
   if (!left.ok()) return left;
-  Result<TpRelation> right = ExplainNode(exec, *q.right, parallel, child);
+  Result<TpRelation> right =
+      ExplainNode(exec, *q.right, parallel, lane, child);
   if (!right.ok()) return right;
   TpRelation result = parallel.ComputeSequenced(
       q.op, *left, *right, /*seq=*/nullptr, /*ticket=*/0, /*stats=*/nullptr,
-      child);
+      child, &lane);
   child->SetAttr("bound", 2 * left->size() + 2 * right->size() -
                               DistinctFacts(*left, *right));
   return result;
@@ -78,46 +79,9 @@ void RenderNode(const obs::Span& span, int depth, std::string* out) {
                 phase_ms("sort"), phase_ms("split"), phase_ms("advance"),
                 phase_ms("apply"), span.stats.morsels_run,
                 span.stats.morsels_stolen, span.stats.facts_split);
-  // Which sweep kernel ran this node, from the attached LawaStats (a
-  // parallel node sweeps one kernel across all morsels; "mixed" can only
-  // appear on aggregated spans, e.g. incremental per-epoch deltas).
-  const char* kernel = span.stats.sweeps_columnar > 0
-                           ? (span.stats.sweeps_scalar > 0 ? "mixed"
-                                                           : "columnar")
-                           : "scalar";
   *out += indent + span.name + "  [out=" + span.Attr("out") +
           ", windows=" + std::to_string(span.stats.windows_produced) + "/" +
-          span.Attr("bound") + "(bound)" + phases + " kernel=" + kernel +
-          "]\n";
-}
-
-Result<std::string> ExplainInto(const QueryExecutor& exec,
-                                const QueryNode& query,
-                                const ParallelSetOpAlgorithm* parallel,
-                                bool parallel_header,
-                                obs::QueryProfile* profile) {
-  std::ostringstream out;
-  out << "query: " << QueryToString(query) << "\n";
-  if (parallel_header) {
-    out << "parallel: threads=" << parallel->num_threads() << " apply="
-        << (parallel->apply_mode() == ApplyMode::kStaged ? "staged"
-                                                         : "bit-identical")
-        << "\n";
-  }
-  obs::Span& root = profile->root();
-  obs::SpanTimer timer(&root);
-  Result<TpRelation> result = ExplainNode(exec, query, *parallel, &root);
-  timer.Stop();
-  if (!result.ok()) return result.status();
-  root.SetAttr("out", result->size());
-  out << RenderExplainPlan(root);
-  bool non_repeating = IsNonRepeating(query);
-  out << "non-repeating: " << (non_repeating ? "yes" : "no")
-      << " -> valuation: "
-      << (non_repeating ? "read-once (linear, exact by Theorem 1)"
-                        : "Shannon expansion (exact; #P-hard in general)")
-      << "\n";
-  return out.str();
+          span.Attr("bound") + "(bound)" + phases + "]\n";
 }
 
 }  // namespace
@@ -158,10 +122,34 @@ Result<std::string> ExplainQuery(const QueryExecutor& exec,
   // so no sequencer needed); each node runs the partitioned algorithm to
   // surface its true phase profile — degenerating to sequential LawaSetOp
   // at num_threads <= 1, so sequential and parallel explains share one
-  // recorder and one renderer. The executor's cached instance keeps
-  // pool-thread startup out of the first node's timings.
-  return ExplainInto(exec, query, exec.ParallelAlgoFor(options),
-                     /*parallel_header=*/options.num_threads > 1, profile);
+  // recorder and one renderer. The algorithm is built per call; with more
+  // than one thread it runs on a lane of the executor's pool, whose warm
+  // workers keep thread startup out of the first node's timings.
+  const ParallelSetOpAlgorithm parallel(
+      options.num_threads, SortMode::kComparison, options.apply_mode);
+  const PoolLane lane = exec.Lane(options.num_threads);
+  std::ostringstream out;
+  out << "query: " << QueryToString(query) << "\n";
+  if (options.num_threads > 1) {
+    out << "parallel: threads=" << options.num_threads << " apply="
+        << (options.apply_mode == ApplyMode::kStaged ? "staged"
+                                                     : "bit-identical")
+        << "\n";
+  }
+  obs::Span& root = profile->root();
+  obs::SpanTimer timer(&root);
+  Result<TpRelation> result = ExplainNode(exec, query, parallel, lane, &root);
+  timer.Stop();
+  if (!result.ok()) return result.status();
+  root.SetAttr("out", result->size());
+  out << RenderExplainPlan(root);
+  bool non_repeating = IsNonRepeating(query);
+  out << "non-repeating: " << (non_repeating ? "yes" : "no")
+      << " -> valuation: "
+      << (non_repeating ? "read-once (linear, exact by Theorem 1)"
+                        : "Shannon expansion (exact; #P-hard in general)")
+      << "\n";
+  return out.str();
 }
 
 Result<std::string> ExplainQuery(const QueryExecutor& exec,

@@ -90,13 +90,14 @@ obs::Gauge& GenerationsGauge() {
   return g;
 }
 
-/// Merges `spans` into `*out` honoring the watermark; with `pool`, fact-range
-/// partitions merge concurrently (PartitionRunsByFact) and concatenate in
-/// order. Returns the number of tuples retired.
+/// Merges `spans` into `*out` honoring the watermark; on a parallel `lane`,
+/// 2 × its width fact-range partitions merge concurrently
+/// (PartitionRunsByFact) and concatenate in order. Returns the number of
+/// tuples retired.
 std::size_t MergeSpansMaybeParallel(const std::vector<TupleSpan>& spans,
-                                    TimePoint watermark, ThreadPool* pool,
+                                    TimePoint watermark, const PoolLane& lane,
                                     std::vector<TpTuple>* out) {
-  if (pool == nullptr || spans.size() <= 1) {
+  if (lane.width() <= 1 || spans.size() <= 1) {
     return MergeRuns(spans, watermark, out);
   }
   // Fact-range parallel merge: each partition k-way-merges its slices of
@@ -105,7 +106,7 @@ std::size_t MergeSpansMaybeParallel(const std::vector<TupleSpan>& spans,
   run_args.reserve(spans.size());
   for (const TupleSpan& s : spans) run_args.emplace_back(s.data, s.size);
   const std::vector<RunPartition> parts =
-      PartitionRunsByFact(run_args, pool->size() * 2);
+      PartitionRunsByFact(run_args, lane.width() * 2);
 
   struct PartResult {
     std::vector<TpTuple> tuples;
@@ -114,7 +115,7 @@ std::size_t MergeSpansMaybeParallel(const std::vector<TupleSpan>& spans,
   std::vector<std::future<PartResult>> futures;
   futures.reserve(parts.size());
   for (const RunPartition& part : parts) {
-    futures.push_back(pool->Submit([&spans, &part, watermark]() {
+    futures.push_back(lane.Submit([&spans, &part, watermark]() {
       std::vector<TupleSpan> slices;
       slices.reserve(part.slices.size());
       for (std::size_t r = 0; r < part.slices.size(); ++r) {
@@ -299,12 +300,12 @@ TimePoint StoredRelation::watermark() const {
   return watermark_;
 }
 
-void StoredRelation::Compact(ThreadPool* pool) {
-  CompactStep(std::numeric_limits<std::size_t>::max(), pool);
+void StoredRelation::Compact(const PoolLane& lane) {
+  CompactStep(std::numeric_limits<std::size_t>::max(), lane);
 }
 
 std::size_t StoredRelation::CompactStep(std::size_t max_runs,
-                                        ThreadPool* pool) {
+                                        const PoolLane& lane) {
   // One compactor at a time: the claim → off-lock merge → publish sequence
   // assumes no other pass rewrites the claimed prefix meanwhile. Appends and
   // reads proceed concurrently — mu_ is only held for the O(1) endpoints.
@@ -339,8 +340,8 @@ std::size_t StoredRelation::CompactStep(std::size_t max_runs,
   }
   auto folded = std::make_shared<TpRelation>(proto_.context(), proto_.schema(),
                                              proto_.name());
-  const std::size_t dropped =
-      MergeSpansMaybeParallel(spans, wm, pool, &folded->mutable_tuples());
+  const std::size_t dropped = MergeSpansMaybeParallel(
+      spans, wm, lane, &folded->mutable_tuples());
   folded->MarkSortedUnchecked();
   CompactLatencyHistogram().Observe(obs::ElapsedUsec(t0));
 

@@ -62,12 +62,11 @@
 #include <vector>
 
 #include "common/status.h"
+#include "parallel/thread_pool.h"
 #include "relation/relation.h"
 #include "storage/run_index.h"
 
 namespace tpset {
-
-class ThreadPool;
 
 /// One immutable published version of a StoredRelation's physical layout.
 /// Built by a mutation, published by an O(1) pointer swap, freed when the
@@ -198,11 +197,12 @@ class StoredRelation {
   /// Unbudgeted compaction pass: merges the base and every tail run present
   /// at the claim into a fresh base level, retiring tuples at or below the
   /// watermark, and publishes the successor generation. O(n), off-lock;
-  /// with `pool`, fact-range partitions merge concurrently
-  /// (PartitionRunsByFact) and concatenate in order. Skips the merge when
+  /// on a parallel `lane`, 2 × its width fact-range partitions merge
+  /// concurrently (PartitionRunsByFact) and concatenate in order — the
+  /// caller must not be a worker of the lane's pool. Skips the merge when
   /// nothing could change (no pending runs and the watermark already applied
   /// to the base).
-  void Compact(ThreadPool* pool = nullptr);
+  void Compact(const PoolLane& lane = PoolLane());
 
   /// Budgeted compaction step: like Compact but claims at most `max_runs`
   /// of the oldest tail runs. Returns the debt remaining after the pass —
@@ -210,7 +210,8 @@ class StoredRelation {
   /// background drivers know whether to reschedule. Passes serialize on an
   /// internal lock; appends proceed concurrently (rolls frozen while a claim
   /// is pending).
-  std::size_t CompactStep(std::size_t max_runs, ThreadPool* pool = nullptr);
+  std::size_t CompactStep(std::size_t max_runs,
+                          const PoolLane& lane = PoolLane());
 
   /// Pending compaction work: tail run count, plus 1 when the watermark has
   /// not yet been applied to the base level.

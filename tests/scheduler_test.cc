@@ -3,11 +3,16 @@
 // window-open; stitched sub-sweeps reproduce the full sweep), and
 // overlapped-splice ordering (a slow later morsel does not delay waiting on
 // an earlier one; splices happen strictly in morsel order).
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,16 +37,83 @@ TEST(MorselBatchTest, RunsEveryMorselExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kCount = 100;
   std::vector<std::atomic<int>> runs(kCount);
-  MorselBatch batch(&pool, kCount,
+  MorselBatch batch({&pool, 4}, kCount,
                     [&](std::size_t i) { runs[i].fetch_add(1); });
   batch.WaitAll();
   EXPECT_EQ(batch.morsels_run(), kCount);
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
 }
 
+// The caller's width, not the pool's size, bounds the batch's workers: a
+// 2-wide batch on a 4-worker pool runs its morsels on at most 2 threads.
+TEST(MorselBatchTest, WidthBoundsWorkersNotPoolSize) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  MorselBatch batch({&pool, 2}, 64, [&](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  });
+  batch.WaitAll();
+  EXPECT_EQ(batch.morsels_run(), 64u);
+  EXPECT_LE(threads.size(), 2u);
+}
+
+// One lane bounds everything submitted through it: two batches sharing a
+// 2-wide lane (a query's concurrent operators) never run more than 2
+// morsels at once on a 4-worker pool.
+TEST(PoolLaneTest, SharedLaneBoundsConcurrentBatches) {
+  ThreadPool pool(4);
+  const PoolLane lane(&pool, 2);
+  std::atomic<int> running{0}, peak{0}, ran{0};
+  auto body = [&](std::size_t) {
+    const int now = running.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    running.fetch_sub(1);
+    ran.fetch_add(1);
+  };
+  MorselBatch a(lane, 32, body);
+  MorselBatch b(lane, 32, body);
+  a.WaitAll();
+  b.WaitAll();
+  EXPECT_EQ(ran.load(), 64);
+  EXPECT_LE(peak.load(), 2);
+}
+
+// Sort chunks and merge rounds go through the lane too: with both slots of
+// a 2-wide lane held, ParallelSortBatch waits although two workers sit idle,
+// and sorts correctly once the slots free up.
+TEST(PoolLaneTest, SortQueuesBehindHeldLane) {
+  ThreadPool pool(4);
+  const PoolLane lane(&pool, 2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  for (int i = 0; i < 2; ++i) lane.Submit([released]() { released.wait(); });
+  Rng rng(0x50A7);
+  std::vector<TpTuple> tuples;
+  for (int i = 0; i < 1000; ++i) {
+    const TimePoint start = static_cast<TimePoint>(rng.Below(100));
+    tuples.push_back({static_cast<FactId>(rng.Below(16)),
+                      Interval(start, start + 1), 0});
+  }
+  std::vector<TpTuple>* arrays[] = {&tuples};
+  std::future<void> sort = std::async(std::launch::async, [&]() {
+    ParallelSortBatch(arrays, 1, SortMode::kComparison, lane);
+  });
+  EXPECT_EQ(sort.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  release.set_value();
+  sort.get();
+  EXPECT_TRUE(std::is_sorted(tuples.begin(), tuples.end(), FactTimeOrder()));
+}
+
 TEST(MorselBatchTest, ZeroMorselsCompletesImmediately) {
   ThreadPool pool(2);
-  MorselBatch batch(&pool, 0, [](std::size_t) { FAIL(); });
+  MorselBatch batch({&pool, 2}, 0, [](std::size_t) { FAIL(); });
   batch.WaitAll();
   EXPECT_EQ(batch.morsels_run(), 0u);
   EXPECT_EQ(batch.morsels_stolen(), 0u);
@@ -49,7 +121,7 @@ TEST(MorselBatchTest, ZeroMorselsCompletesImmediately) {
 
 TEST(MorselBatchTest, NullPoolRunsInline) {
   std::vector<std::size_t> order;
-  MorselBatch batch(nullptr, 5, [&](std::size_t i) { order.push_back(i); });
+  MorselBatch batch({}, 5, [&](std::size_t i) { order.push_back(i); });
   batch.WaitAll();
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(batch.morsels_stolen(), 0u);
@@ -66,7 +138,7 @@ TEST(MorselBatchTest, StealRescuesPinnedWorker) {
   std::mutex mu;
   std::condition_variable cv;
   bool morsel2_done = false;
-  MorselBatch batch(&pool, 4, [&](std::size_t i) {
+  MorselBatch batch({&pool, 2}, 4, [&](std::size_t i) {
     if (i == 2) {
       std::lock_guard<std::mutex> lock(mu);
       morsel2_done = true;
@@ -84,7 +156,7 @@ TEST(MorselBatchTest, StealRescuesPinnedWorker) {
 TEST(MorselBatchTest, ExceptionPropagatesWithoutHanging) {
   ThreadPool pool(3);
   std::atomic<int> ran{0};
-  MorselBatch batch(&pool, 20, [&](std::size_t i) {
+  MorselBatch batch({&pool, 3}, 20, [&](std::size_t i) {
     ran.fetch_add(1);
     if (i == 7) throw std::runtime_error("morsel 7 failed");
   });
@@ -105,7 +177,7 @@ TEST(MorselBatchTest, WaitMorselOverlapsSlowLaterMorsels) {
   std::condition_variable cv;
   bool release_morsel1 = false;
   std::atomic<bool> morsel1_running{false};
-  MorselBatch batch(&pool, 4, [&](std::size_t i) {
+  MorselBatch batch({&pool, 2}, 4, [&](std::size_t i) {
     if (i == 1) {
       morsel1_running.store(true);
       std::unique_lock<std::mutex> lock(mu);

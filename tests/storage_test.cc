@@ -7,6 +7,8 @@
 // multi-writer epoch fence under concurrent appends.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -352,10 +354,27 @@ TEST(StoredRelationTest, ParallelCompactionMatchesSequential) {
   ASSERT_TRUE(par->SetWatermark(10).ok());
   ThreadPool pool(4);
   seq->Compact();
-  par->Compact(&pool);
+  par->Compact(PoolLane(&pool, 4));
   EXPECT_EQ(seq->View().tuples(), par->View().tuples());
   EXPECT_EQ(seq->stats().tuples_retired, par->stats().tuples_retired);
   EXPECT_TRUE(par->View().IsSortedFactTime());
+
+  // The lane's width bounds the merge: with both slots of a 2-wide lane
+  // held, its partitions queue behind them although two workers sit idle.
+  rng = rng_copy;
+  std::unique_ptr<StoredRelation> narrow(build());
+  ASSERT_TRUE(narrow->SetWatermark(10).ok());
+  const PoolLane lane(&pool, 2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  for (int i = 0; i < 2; ++i) lane.Submit([released]() { released.wait(); });
+  std::future<void> compact =
+      std::async(std::launch::async, [&]() { narrow->Compact(lane); });
+  EXPECT_EQ(compact.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  release.set_value();
+  compact.get();
+  EXPECT_EQ(seq->View().tuples(), narrow->View().tuples());
 }
 
 TEST(PartitionRunsByFactTest, CutsAllRunsAtCommonFactBoundaries) {
