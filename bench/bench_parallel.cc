@@ -96,8 +96,7 @@ Sample TimedCompute(const ParallelSetOpAlgorithm& algo, SetOpKind op,
                     LawaStats* stats = nullptr) {
   obs::Span span;
   const double ms = TimeMs([&]() {
-    TpRelation out = algo.ComputeSequenced(op, r, s, /*seq=*/nullptr,
-                                           /*ticket=*/0, stats, &span);
+    TpRelation out = algo.ComputeSequenced(op, r, s, stats, &span);
     (void)out;
   });
   return {ms, PhaseMs(span, "sort"), PhaseMs(span, "split"),

@@ -7,8 +7,8 @@
 // context — or, with no arguments, the paper's supermarket relations a, b,
 // c — then reads one query per line from stdin and prints the answer with
 // exact probabilities. With --threads=N (or the .threads command) queries
-// run on the partitioned parallel engine: N pool threads per set operation
-// and concurrent sibling subtrees, bit-identical to sequential evaluation.
+// run on the partitioned parallel engine: N pool threads per set operation,
+// bit-identical to sequential evaluation.
 // Commands:
 //   \list                               show registered relations and watches
 //   \show <name>                        print a relation

@@ -166,10 +166,13 @@ SERVE_ADDR="$(grep -o 'http://[0-9.]*:[0-9]*' "$BUILD_DIR/serve_smoke.out" \
   | head -1 | sed 's#http://##')"
 test -n "$SERVE_ADDR"
 sleep 1  # a few collector ticks so /flight and /top carry ring history
-curl -fsS "http://$SERVE_ADDR/healthz" | grep -q 'ok'
-curl -fsS "http://$SERVE_ADDR/readyz" | grep -q 'ready'
+# Each body is read to the end (grep -c, not -q): a grep that exits at its
+# first match closes the pipe under curl, which then fails with "Failed
+# writing body" (exit 23) and, with pipefail, fails the smoke.
+curl -fsS "http://$SERVE_ADDR/healthz" | grep -c 'ok' > /dev/null
+curl -fsS "http://$SERVE_ADDR/readyz" | grep -c 'ready' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics" \
-  | grep -q '^tpset_net_http_requests_total '
+  | grep -c '^tpset_net_http_requests_total ' > /dev/null
 curl -fsS "http://$SERVE_ADDR/metrics?format=json" \
   > "$BUILD_DIR/serve_metrics.jsonl"
 python3 scripts/validate_metrics.py "$BUILD_DIR/serve_metrics.jsonl" \
@@ -177,7 +180,7 @@ python3 scripts/validate_metrics.py "$BUILD_DIR/serve_metrics.jsonl" \
 curl -fsS "http://$SERVE_ADDR/flight" > "$BUILD_DIR/serve_flight.json"
 python3 scripts/validate_flight_record.py "$BUILD_DIR/serve_flight.json" \
   scripts/flight_record_schema.json
-curl -fsS "http://$SERVE_ADDR/queries" | grep -q '"name":"w1"'
+curl -fsS "http://$SERVE_ADDR/queries" | grep -c '"name":"w1"' > /dev/null
 printf '\\quit\n' >&9
 exec 9>&-
 wait "$SERVE_PID"

@@ -162,7 +162,7 @@ class LineageManager {
   /// to an existing node becomes a duplicate arena node, which valuation
   /// and CanonicalKey see through (deduplication remains local to each
   /// staging arena). The caller must hold exclusive access to this manager
-  /// (the sequencer turn). Defined in staging.cc.
+  /// (the apply tail of one operation). Defined in staging.cc.
   void SpliceStaged(const StagingArena& staged, std::vector<LineageId>* remap);
 
  private:

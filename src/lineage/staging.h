@@ -12,10 +12,8 @@
 // old-id→new-id remap — O(staged cells) of mostly-memcpy work instead of
 // O(output windows) of serialized hash-map interning.
 //
-// Safety: staging runs on pool threads while *other* query subtrees may be
-// appending to the shared arena (their sequencer turn). A StagingArena
-// therefore never reads base-arena nodes — it only compares ids against the
-// frozen snapshot size and the constant ids. The same property is what
+// Safety: a StagingArena never reads base-arena nodes — it only compares
+// ids against the frozen snapshot size and the constant ids. That is what
 // makes the morsel scheduler's *overlapped* splices sound: SpliceStaged for
 // morsel i may append to the shared arena while morsels > i are still
 // staging on pool threads — those arenas reference only ids below their

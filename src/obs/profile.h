@@ -6,10 +6,10 @@
 //
 // A profile is owned by one execution (the ExecOptions::profile hook, an
 // EXPLAIN run, or a continuous query's last-epoch record). Span creation is
-// not synchronized — the engine pre-builds the node-level tree on the
-// coordinating thread and hands each concurrent task its own Span*, whose
-// subtree that task alone touches (the same ownership discipline as the
-// morsel result slots). Rendering/serialization must wait for the execution
+// not synchronized — the executor builds the node-level tree on the thread
+// that evaluates the query, and a concurrent task may only be handed its own
+// Span*, whose subtree that task alone touches (the same ownership
+// discipline as the morsel result slots). Rendering/serialization must wait for the execution
 // to finish.
 //
 // The parallel engine records its sort/split/advance/apply phases as child

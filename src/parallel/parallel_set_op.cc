@@ -166,19 +166,15 @@ const PoolLane& ParallelSetOpAlgorithm::OwnLane() const {
 
 TpRelation ParallelSetOpAlgorithm::Compute(SetOpKind op, const TpRelation& r,
                                            const TpRelation& s) const {
-  return ComputeSequenced(op, r, s, /*seq=*/nullptr, /*ticket=*/0);
+  return ComputeSequenced(op, r, s);
 }
 
 TpRelation ParallelSetOpAlgorithm::ComputeSequenced(
-    SetOpKind op, const TpRelation& r, const TpRelation& s,
-    ApplySequencer* seq, std::size_t ticket, LawaStats* stats,
+    SetOpKind op, const TpRelation& r, const TpRelation& s, LawaStats* stats,
     obs::Span* span, const PoolLane* lane) const {
   obs::SpanTimer span_timer(span);
   if (num_threads_ <= 1) {
     // Degenerate pool: the sequential algorithm *is* the partition sweep.
-    // LawaSetOp mutates the arena throughout, so the whole call is the turn.
-    TurnGuard turn(seq, ticket);
-    turn.Wait();
     Clock::time_point t0 = Clock::now();
     LawaStats local_stats;
     TpRelation out = LawaSetOp(op, r, s, sort_mode_, &local_stats);
@@ -190,11 +186,9 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(
       span->SetAttr("out", out.size());
     }
     if (stats != nullptr) *stats = local_stats;
-    turn.Release();
     return out;
   }
   if (lane == nullptr) lane = &OwnLane();
-  TurnGuard turn(seq, ticket);  // released on every path, including unwind
 
   assert(ValidateSetOpInputs(r, s).ok());
   TpRelation out(r.context(), r.schema(),
@@ -244,8 +238,8 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(
   // clean time boundaries (scheduler.h), so a one-hot-fact input no longer
   // pins a single worker. Staged mode also fixes the frozen arena snapshot
   // here: one linear scan for the largest input lineage id — every id the
-  // staged cells may reference — without touching the (possibly
-  // concurrently growing) arena itself.
+  // staged cells may reference — without touching the arena itself, which
+  // the overlapped apply below grows while later morsels still stage.
   const std::vector<FactPartition> parts = PartitionByFactRange(
       rdata, rn, sdata, sn, num_threads_ * kPartitionsPerThread);
   const std::size_t budget =
@@ -322,7 +316,7 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(
     }
   });
 
-  // Phase 4: the sequential arena-mutating tail, gated when subtrees race.
+  // Phase 4: the sequential arena-mutating tail, on the calling thread.
   // kBitIdentical replays every deferred concatenation; kStaged only
   // splices pre-interned cells and bulk-appends tuples. The apply overlaps
   // the sweeps: morsel i is applied as soon as morsels <= i finished, while
@@ -331,7 +325,6 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(
   LineageManager& mgr = r.context()->lineage();
   std::size_t total_windows = 0;
   std::vector<LineageId> remap;
-  turn.Wait();
   double apply_ms = 0.0;
   for (std::size_t i = 0; i < n_morsels; ++i) {
     batch.WaitMorsel(i);
@@ -362,7 +355,6 @@ TpRelation ParallelSetOpAlgorithm::ComputeSequenced(
   const double advance_ms = MsSince(t0) - apply_ms;
   // Windows come out in fact order with increasing starts per fact.
   out.MarkSortedUnchecked();
-  turn.Release();
 
   LawaStats local_stats;
   local_stats.windows_produced = total_windows;

@@ -14,8 +14,9 @@
 //                MorselBatch (per-worker deques + work stealing); what
 //                happens to the surviving windows depends on the apply mode
 //                (below);
-//   4. apply   — the sequential, arena-mutating tail, gated by the
-//                ApplySequencer when query subtrees race. The apply
+//   4. apply   — the sequential, arena-mutating tail, on the calling
+//                thread (the executor evaluates one operation at a time, so
+//                nothing else mutates the arena meanwhile). The apply
 //                overlaps phase 3: morsel i is applied as soon as morsels
 //                <= i finished sweeping, while later morsels are still
 //                advancing — apply *order* (the determinism invariant) is
@@ -36,9 +37,8 @@
 //    append) plus a bulk tuple splice. Output is deterministic and equals
 //    the sequential run tuple for tuple in (fact, interval) with
 //    probability-equal lineage — node *ids* may differ (see
-//    lineage/staging.h). The sequencer critical section shrinks from
-//    O(output · intern cost) to O(staged cells), so concurrent subtrees
-//    overlap far more.
+//    lineage/staging.h). The sequential tail shrinks from
+//    O(output · intern cost) to O(staged cells).
 //
 // See DESIGN.md ("Partitioned parallel execution", "Staged apply") for the
 // independence and determinism arguments.
@@ -53,7 +53,6 @@
 #include "common/setop.h"
 #include "lawa/set_ops.h"
 #include "obs/profile.h"
-#include "parallel/sequencer.h"
 #include "parallel/thread_pool.h"
 #include "relation/relation.h"
 
@@ -86,15 +85,13 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   bool Supports(SetOpKind) const override { return true; }
 
   /// Standalone entry point (registry / benchmarks): ComputeSequenced on
-  /// the instance's own pool. The caller must not mutate the shared
-  /// context concurrently — the same contract as sequential LawaSetOp.
+  /// the instance's own pool.
   TpRelation Compute(SetOpKind op, const TpRelation& r,
                      const TpRelation& s) const override;
 
-  /// Executor entry point for concurrent query-subtree evaluation: phases
-  /// 1-3 run immediately, the arena-mutating apply phase waits for `ticket`
-  /// on `seq`. Every concurrent evaluation against one context must go
-  /// through one sequencer.
+  /// Executor entry point: the four phases, with optional stats, span and
+  /// lane. The caller must not mutate the shared context concurrently — the
+  /// same contract as sequential LawaSetOp.
   ///
   /// `stats`: output_tuples matches the sequential run exactly;
   /// windows_produced may be smaller — a partition whose other input is
@@ -105,19 +102,18 @@ class ParallelSetOpAlgorithm final : public SetOpAlgorithm {
   /// spans ("sort", "split", "advance", "apply"; the degenerate sequential
   /// path records only "advance" — the whole interleaved wall) and attaches
   /// the LawaStats to `span` itself. The span's own wall/cpu cover the full
-  /// call including sequencer waits. Because apply overlaps the sweeps,
-  /// "apply" is the time actually spent splicing/replaying and "advance"
-  /// the rest of the overlapped span (sweeps + waits), so the two still sum
-  /// to the phase-3+4 wall. "advance" includes staged-mode lineage staging
-  /// and any columnar view builds.
+  /// call. Because apply overlaps the sweeps, "apply" is the time actually
+  /// spent splicing/replaying and "advance" the rest of the overlapped span
+  /// (sweeps + waits), so the two still sum to the phase-3+4 wall.
+  /// "advance" includes staged-mode lineage staging and any columnar view
+  /// builds.
   ///
   /// `lane`: the pool share the phases run on (an executor hands a lane of
   /// its one pool; the call must not itself run on a worker of that pool).
   /// Null uses the instance's own pool of num_threads() workers, created on
   /// first use. Ignored when num_threads() <= 1.
   TpRelation ComputeSequenced(SetOpKind op, const TpRelation& r,
-                              const TpRelation& s, ApplySequencer* seq,
-                              std::size_t ticket, LawaStats* stats = nullptr,
+                              const TpRelation& s, LawaStats* stats = nullptr,
                               obs::Span* span = nullptr,
                               const PoolLane* lane = nullptr) const;
 

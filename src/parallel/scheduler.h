@@ -108,7 +108,7 @@ MorselPlan BuildMorsels(const TpTuple* r, const TpTuple* s,
 ///
 /// The batch holds only shared state also owned by the workers, so it is
 /// safe to destroy early (the destructor waits for stragglers to keep
-/// caller-owned slots alive, matching std::async semantics).
+/// caller-owned slots alive).
 class MorselBatch {
  public:
   /// Starts `count` morsels on min(lane width, count) tasks of `lane`. A

@@ -8,7 +8,7 @@
 //    pool that grew to 4 still runs 2 workers;
 //  * grow-only — Grow adds workers up to the widest width asked for;
 //  * tasks never wait on other pool tasks — every blocking wait (futures,
-//    MorselBatch::WaitMorsel, the ApplySequencer) happens on caller threads.
+//    MorselBatch::WaitMorsel) happens on caller threads.
 // One FIFO queue, no stealing at this level. Each pool moves the
 // tpset_pool_workers gauge by its worker count.
 #ifndef TPSET_PARALLEL_THREAD_POOL_H_

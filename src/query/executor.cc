@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "parallel/parallel_set_op.h"
-#include "parallel/sequencer.h"
 #include "parallel/thread_pool.h"
 #include "query/parser.h"
 #include "relation/validate.h"
@@ -358,32 +356,51 @@ Status CheckSupported(const QueryNode& q, const SetOpAlgorithm& algorithm) {
   return Status::OK();
 }
 
+// The Proposition 1 bound on the LAWA windows of one operation,
+// 2|r| + 2|s| - (distinct facts of r and s), with the facts counted by one
+// merge pass over the two fact-sorted inputs.
+std::size_t WindowBound(const TpRelation& r, const TpRelation& s) {
+  const std::vector<TpTuple>& a = r.tuples();
+  const std::vector<TpTuple>& b = s.tuples();
+  std::size_t facts = 0, i = 0, j = 0;
+  while (i < a.size() || j < b.size()) {
+    const FactId f = j == b.size() || (i < a.size() && a[i].fact < b[j].fact)
+                         ? a[i].fact
+                         : b[j].fact;
+    while (i < a.size() && a[i].fact == f) ++i;
+    while (j < b.size() && b[j].fact == f) ++j;
+    ++facts;
+  }
+  return 2 * a.size() + 2 * b.size() - facts;
+}
+
 }  // namespace
 
 Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
                                           const ExecOptions& options,
                                           const SetOpAlgorithm* algorithm) const {
-  if (options.num_threads > 1) {
-    return ExecuteConcurrent(query, options, algorithm);
-  }
   const auto t0 = std::chrono::steady_clock::now();
   obs::Span* root =
       options.profile == nullptr ? nullptr : &options.profile->root();
   obs::SpanTimer timer(root);
   if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
-  // The degenerate (num_threads <= 1) partitioned algorithm *is* sequential
-  // LawaSetOp, and it records its own phase span — profiled plain LAWA runs
-  // through it so sequential profiles carry the same sections as parallel
-  // ones.
-  const ParallelSetOpAlgorithm profiled(1);
-  if (root != nullptr && algorithm->name() == "LAWA") algorithm = &profiled;
+  // Plain LAWA runs as LAWA-P of the requested width, built per call (it
+  // holds no threads). At num_threads <= 1 that is sequential LawaSetOp
+  // itself, recording the same phase spans as a parallel run; above 1 its
+  // phases run on a lane of that width of the executor's pool.
+  const ParallelSetOpAlgorithm lawa_p(options.num_threads,
+                                      SortMode::kComparison,
+                                      options.apply_mode);
+  if (algorithm->name() == "LAWA") algorithm = &lawa_p;
+  const auto* parallel = dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm);
+  const PoolLane lane = Lane(parallel != nullptr ? parallel->num_threads() : 1);
   Result<TpRelation> out = [&]() -> Result<TpRelation> {
     {
       obs::SpanTimer analyze(root == nullptr ? nullptr
                                              : root->AddChild("analyze"));
       TPSET_RETURN_NOT_OK(CheckSupported(query, *algorithm));
     }
-    return ExecuteSequential(query, algorithm, root);
+    return ExecuteNode(query, *algorithm, lane, root);
   }();
   if (root != nullptr && out.ok()) root->SetAttr("out", out->size());
   timer.Stop();
@@ -391,9 +408,10 @@ Result<TpRelation> QueryExecutor::Execute(const QueryNode& query,
   return out;
 }
 
-Result<TpRelation> QueryExecutor::ExecuteSequential(
-    const QueryNode& node, const SetOpAlgorithm* algorithm,
-    obs::Span* span) const {
+Result<TpRelation> QueryExecutor::ExecuteNode(const QueryNode& node,
+                                              const SetOpAlgorithm& algorithm,
+                                              const PoolLane& lane,
+                                              obs::Span* span) const {
   if (node.kind == QueryNode::Kind::kRelation) {
     // Leaves read through a refcounted fold of the relation's current
     // generation: no reference into the catalog entry survives the call, so
@@ -406,138 +424,32 @@ Result<TpRelation> QueryExecutor::ExecuteSequential(
     if (!stored.ok()) return stored.status();
     const std::shared_ptr<const TpRelation> rel = (*stored)->FoldedView();
     timer.Stop();
-    if (child != nullptr) child->SetAttr("tuples", rel->size());
+    if (child != nullptr) {
+      child->SetAttr("kind", "relation");
+      child->SetAttr("tuples", rel->size());
+    }
     return *rel;
   }
   // The operator's span holds both its input subtrees and (from the compute
-  // below) its phase children; its own wall covers only the compute, like
-  // the per-node timings EXPLAIN always reported.
+  // below) its phase children; its own wall covers only the compute.
   obs::Span* child = span == nullptr ? nullptr : span->AddChild(SetOpName(node.op));
-  Result<TpRelation> left = ExecuteSequential(*node.left, algorithm, child);
+  Result<TpRelation> left = ExecuteNode(*node.left, algorithm, lane, child);
   if (!left.ok()) return left;
-  Result<TpRelation> right = ExecuteSequential(*node.right, algorithm, child);
+  Result<TpRelation> right = ExecuteNode(*node.right, algorithm, lane, child);
   if (!right.ok()) return right;
+  if (child != nullptr) child->SetAttr("kind", "setop");
   if (const auto* parallel =
-          dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm)) {
-    const PoolLane lane = Lane(parallel->num_threads());
-    return parallel->ComputeSequenced(node.op, *left, *right, /*seq=*/nullptr,
-                                      /*ticket=*/0, /*stats=*/nullptr, child,
-                                      &lane);
+          dynamic_cast<const ParallelSetOpAlgorithm*>(&algorithm)) {
+    // LAWA-P inputs are catalog leaves or LAWA-P outputs, all fact-sorted.
+    if (child != nullptr) child->SetAttr("bound", WindowBound(*left, *right));
+    return parallel->ComputeSequenced(node.op, *left, *right,
+                                      /*stats=*/nullptr, child, &lane);
   }
   obs::SpanTimer timer(child);
-  TpRelation out = algorithm->Compute(node.op, *left, *right);
+  TpRelation out = algorithm.Compute(node.op, *left, *right);
   timer.Stop();
   if (child != nullptr) child->SetAttr("out", out.size());
   return Result<TpRelation>(std::move(out));
-}
-
-Result<TpRelation> QueryExecutor::ExecuteConcurrent(
-    const QueryNode& query, const ExecOptions& options,
-    const SetOpAlgorithm* algorithm) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (algorithm == nullptr) algorithm = FindAlgorithm("LAWA");
-  // Plain LAWA is transparently upgraded to its partitioned variant, built
-  // per call (it holds no threads); any other algorithm keeps its own
-  // Compute but is serialized per node (see below), since only the
-  // partitioned algorithm can defer arena writes. Partitioned nodes run on
-  // one lane of the executor's pool with the algorithm's width, shared by
-  // every node, so concurrent subtrees together stay within that width.
-  const ParallelSetOpAlgorithm upgraded(options.num_threads,
-                                        SortMode::kComparison,
-                                        options.apply_mode);
-  const auto* parallel = dynamic_cast<const ParallelSetOpAlgorithm*>(algorithm);
-  if (parallel == nullptr && algorithm->name() == "LAWA") {
-    parallel = &upgraded;
-    algorithm = parallel;
-  }
-  const PoolLane lane = Lane(parallel != nullptr ? parallel->num_threads() : 1);
-  obs::Span* profile_root =
-      options.profile == nullptr ? nullptr : &options.profile->root();
-  obs::SpanTimer profile_timer(profile_root);
-  {
-    obs::SpanTimer analyze(profile_root == nullptr
-                               ? nullptr
-                               : profile_root->AddChild("analyze"));
-    TPSET_RETURN_NOT_OK(CheckSupported(query, *algorithm));
-  }
-
-  // One std::async task per set-op node, joined through shared_futures; the
-  // arena-mutating phase of node i waits for turn i of a post-order ticket
-  // sequence, making the result bit-identical to sequential evaluation.
-  // Query trees are user-written and small, so a thread per node is cheap;
-  // the heavy data parallelism lives inside the partitioned algorithm.
-  ApplySequencer sequencer;
-  using NodeFuture = std::shared_future<Result<TpRelation>>;
-  std::size_t next_ticket = 0;
-
-  // The span tree is pre-built here, on the coordinating thread, during the
-  // recursive descent; each async task then writes only its own node's span
-  // (the same disjoint-slot discipline as the morsel result vectors).
-  auto eval = [&](auto&& self, const QueryNode& node,
-                  obs::Span* span) -> NodeFuture {
-    if (node.kind == QueryNode::Kind::kRelation) {
-      obs::Span* child =
-          span == nullptr ? nullptr
-                          : span->AddChild("relation " + node.relation_name);
-      std::promise<Result<TpRelation>> ready;
-      obs::SpanTimer timer(child);
-      Result<const StoredRelation*> stored = FindStored(node.relation_name);
-      timer.Stop();
-      if (!stored.ok()) {
-        ready.set_value(stored.status());
-      } else {
-        const std::shared_ptr<const TpRelation> rel = (*stored)->FoldedView();
-        if (child != nullptr) child->SetAttr("tuples", rel->size());
-        ready.set_value(*rel);
-      }
-      return ready.get_future().share();
-    }
-    obs::Span* child =
-        span == nullptr ? nullptr : span->AddChild(SetOpName(node.op));
-    NodeFuture left = self(self, *node.left, child);
-    NodeFuture right = self(self, *node.right, child);
-    const std::size_t ticket = next_ticket++;  // post-order: children first
-    const SetOpAlgorithm* algo = algorithm;
-    const ParallelSetOpAlgorithm* par = parallel;
-    ApplySequencer* seq = &sequencer;
-    SetOpKind op = node.op;
-    return std::async(std::launch::async,
-                      [left, right, ticket, algo, par, lane, seq, op,
-                       child]() {
-                        // The guard keeps the ticket sequence alive on every
-                        // exit, including exceptions rethrown by get() — an
-                        // unreleased ticket would hang all later turns.
-                        TurnGuard turn(seq, ticket);
-                        const Result<TpRelation>& l = left.get();
-                        const Result<TpRelation>& r = right.get();
-                        if (!l.ok() || !r.ok()) {
-                          return !l.ok() ? l : r;  // guard skips the turn
-                        }
-                        if (par != nullptr) {
-                          turn.Disarm();  // ComputeSequenced owns the ticket
-                          return Result<TpRelation>(par->ComputeSequenced(
-                              op, *l, *r, seq, ticket, /*stats=*/nullptr,
-                              child, &lane));
-                        }
-                        // Foreign algorithm: its whole compute is the turn.
-                        turn.Wait();
-                        obs::SpanTimer timer(child);
-                        TpRelation out = algo->Compute(op, *l, *r);
-                        timer.Stop();
-                        if (child != nullptr) child->SetAttr("out", out.size());
-                        turn.Release();
-                        return Result<TpRelation>(std::move(out));
-                      })
-        .share();
-  };
-
-  Result<TpRelation> out = eval(eval, query, profile_root).get();
-  if (profile_root != nullptr && out.ok()) {
-    profile_root->SetAttr("out", out->size());
-  }
-  profile_timer.Stop();
-  RecordQuery(t0, query, options.profile);
-  return out;
 }
 
 }  // namespace tpset

@@ -24,34 +24,36 @@ namespace tpset {
 
 /// Execution knobs for one query.
 struct ExecOptions {
-  /// 1 evaluates sequentially (the seed behavior). Above 1, leaf set
-  /// operations run the partitioned parallel algorithm with this many
-  /// workers of the executor's one pool (which grows to the widest width
-  /// any call asked for) AND independent query subtrees are evaluated
-  /// concurrently. With apply_mode kBitIdentical, results are bit-identical
-  /// to sequential execution either way (see DESIGN.md, "Partitioned
-  /// parallel execution").
+  /// Width of each set operation. Every Execute walks the plan post-order
+  /// on the calling thread, one operation at a time; above 1, plain LAWA
+  /// runs as the partitioned LAWA-P on a lane of this many workers of the
+  /// executor's one pool (which grows to the widest width any call asked
+  /// for). Parallelism lives only inside an operation, so with apply_mode
+  /// kBitIdentical results are bit-identical to sequential execution (see
+  /// DESIGN.md, "One query evaluator").
   ///
   /// Applies when the algorithm is defaulted or is plain "LAWA". An
   /// explicitly passed ParallelSetOpAlgorithm keeps its own thread count
   /// and apply mode (the instance was configured deliberately) but runs on
-  /// the executor's pool too; any other explicit algorithm gets subtree
-  /// concurrency only, serialized per node.
+  /// the executor's pool too; any other explicit algorithm computes on the
+  /// calling thread.
   std::size_t num_threads = 1;
 
   /// How parallel set operations mutate the shared lineage arena (only
   /// meaningful with num_threads > 1). kBitIdentical (default) keeps the
   /// whole-query result bit-equal to sequential execution; kStaged interns
-  /// into per-partition staging arenas and splices under the sequencer — a
-  /// far smaller critical section, deterministic output, same tuples with
-  /// probability-equal lineage but possibly different node ids (see
-  /// DESIGN.md, "Staged apply").
+  /// into per-partition staging arenas during the sweep and only splices
+  /// them in the sequential apply — a far shorter sequential tail,
+  /// deterministic output, same tuples with probability-equal lineage but
+  /// possibly different node ids (see DESIGN.md, "Staged apply").
   ApplyMode apply_mode = ApplyMode::kBitIdentical;
 
   /// When non-null, the execution records its span tree here: root (whole
   /// query; admission timestamp on start_unix_us) → "parse"/"analyze" →
-  /// one span per plan node ("relation <name>" leaves, operator nodes with
-  /// sort/split/advance/apply phase children and LawaStats attached).
+  /// one span per plan node ("relation <name>" leaves with kind/tuples
+  /// attrs; operator nodes with kind/out attrs, the Proposition 1 "bound"
+  /// under LAWA, and sort/split/advance/apply phase children and LawaStats
+  /// attached). EXPLAIN renders from exactly this tree.
   /// Results are unaffected; the caller owns the profile and must keep it
   /// alive for the call.
   obs::QueryProfile* profile = nullptr;
@@ -110,11 +112,11 @@ class QueryExecutor {
   Result<TpRelation> Execute(const std::string& query, const ExecOptions& options,
                              const SetOpAlgorithm* algorithm = nullptr) const;
 
-  /// Executes a query tree with explicit execution options. With
-  /// options.num_threads > 1, sibling subtrees are evaluated concurrently
-  /// and leaf set operations are partition-parallel; the shared lineage
-  /// arena is mutated in post-order turns, so the result (tuples and
-  /// lineage ids) equals sequential execution exactly.
+  /// Executes a query tree with explicit execution options. The plan is
+  /// evaluated post-order on the calling thread at every num_threads; above
+  /// 1, each set operation is partition-parallel on a lane of the pool, so
+  /// the lineage arena sees the mutation sequence of sequential execution
+  /// and the result (tuples and lineage ids) equals it exactly.
   Result<TpRelation> Execute(const QueryNode& query, const ExecOptions& options,
                              const SetOpAlgorithm* algorithm = nullptr) const;
 
@@ -202,27 +204,24 @@ class QueryExecutor {
 
   const std::shared_ptr<TpContext>& context() const { return ctx_; }
 
+ private:
   /// A `width`-wide lane of the executor's one pool (sequential, creating
-  /// no pool, when `width` <= 1). Every parallel path runs on one; exposed
-  /// so EXPLAIN reuses the warm workers. Thread-safe.
+  /// no pool, when `width` <= 1). Every parallel path runs on one.
+  /// Thread-safe.
   PoolLane Lane(std::size_t width) const;
 
- private:
   /// The one pool, created on first call and grown to at least `width`
   /// workers; lanes and background compaction steps run on it.
   ThreadPool* Pool(std::size_t width) const;
 
-  /// The sequential bottom-up evaluator behind every num_threads <= 1
-  /// Execute: evaluates `node`, recording a span per plan node under `span`
-  /// when it is non-null. A ParallelSetOpAlgorithm records its own phase
-  /// children into the node span; any other algorithm gets a plain wall.
-  Result<TpRelation> ExecuteSequential(const QueryNode& node,
-                                       const SetOpAlgorithm* algorithm,
-                                       obs::Span* span) const;
-
-  Result<TpRelation> ExecuteConcurrent(const QueryNode& query,
-                                       const ExecOptions& options,
-                                       const SetOpAlgorithm* algorithm) const;
+  /// The one query evaluator, behind every Execute and ExplainQuery:
+  /// evaluates `node` post-order on the calling thread. A
+  /// ParallelSetOpAlgorithm runs its phases on `lane`; any other algorithm
+  /// computes on the caller. When `span` is non-null, each plan node
+  /// records a span under it (see ExecOptions::profile).
+  Result<TpRelation> ExecuteNode(const QueryNode& node,
+                                 const SetOpAlgorithm& algorithm,
+                                 const PoolLane& lane, obs::Span* span) const;
 
   /// Compacts `stored` under the write fence, merging with the widest
   /// registered continuous query's width (sequentially when none is

@@ -1,58 +1,15 @@
 #include "query/explain.h"
 
 #include <cstdio>
-#include <set>
 #include <sstream>
 
-#include "lawa/set_ops.h"
 #include "obs/profile.h"
-#include "parallel/parallel_set_op.h"
 #include "query/analyzer.h"
 #include "query/parser.h"
 
 namespace tpset {
 
 namespace {
-
-std::size_t DistinctFacts(const TpRelation& r, const TpRelation& s) {
-  std::set<FactId> facts;
-  for (const TpTuple& t : r.tuples()) facts.insert(t.fact);
-  for (const TpTuple& t : s.tuples()) facts.insert(t.fact);
-  return facts.size();
-}
-
-// Executes the plan bottom-up, recording one span per plan node under
-// `span`. All numbers EXPLAIN later renders live on the spans: relation
-// leaves carry kind/tuples attrs, operator nodes carry kind/out/bound attrs
-// plus the phase children and LawaStats that ComputeSequenced attaches.
-// Sequential explains run the same recorder through the degenerate
-// (num_threads <= 1) partitioned algorithm, so both render identical
-// sections from identical span shapes.
-Result<TpRelation> ExplainNode(const QueryExecutor& exec, const QueryNode& q,
-                               const ParallelSetOpAlgorithm& parallel,
-                               const PoolLane& lane, obs::Span* span) {
-  if (q.kind == QueryNode::Kind::kRelation) {
-    Result<const TpRelation*> rel = exec.Find(q.relation_name);
-    if (!rel.ok()) return rel.status();
-    obs::Span* child = span->AddChild("relation " + q.relation_name);
-    child->SetAttr("kind", "relation");
-    child->SetAttr("tuples", (*rel)->size());
-    return **rel;
-  }
-  obs::Span* child = span->AddChild(SetOpName(q.op));
-  child->SetAttr("kind", "setop");
-  Result<TpRelation> left = ExplainNode(exec, *q.left, parallel, lane, child);
-  if (!left.ok()) return left;
-  Result<TpRelation> right =
-      ExplainNode(exec, *q.right, parallel, lane, child);
-  if (!right.ok()) return right;
-  TpRelation result = parallel.ComputeSequenced(
-      q.op, *left, *right, /*seq=*/nullptr, /*ticket=*/0, /*stats=*/nullptr,
-      child, &lane);
-  child->SetAttr("bound", 2 * left->size() + 2 * right->size() -
-                              DistinctFacts(*left, *right));
-  return result;
-}
 
 // One plan node's line, rebuilt purely from its span. Children stream out
 // first (depth-first), the node's own line follows with the depth marker —
@@ -118,16 +75,11 @@ Result<std::string> ExplainQuery(const QueryExecutor& exec,
                                  const QueryNode& query,
                                  const ExecOptions& options,
                                  obs::QueryProfile* profile) {
-  // Explain walks the tree bottom-up on one thread (no subtree concurrency,
-  // so no sequencer needed); each node runs the partitioned algorithm to
-  // surface its true phase profile — degenerating to sequential LawaSetOp
-  // at num_threads <= 1, so sequential and parallel explains share one
-  // recorder and one renderer. The algorithm is built per call; with more
-  // than one thread it runs on a lane of the executor's pool, whose warm
-  // workers keep thread startup out of the first node's timings.
-  const ParallelSetOpAlgorithm parallel(
-      options.num_threads, SortMode::kComparison, options.apply_mode);
-  const PoolLane lane = exec.Lane(options.num_threads);
+  // The plan is executed by the executor's own evaluator, recording into
+  // `profile`, and rendered from the span tree it leaves there.
+  ExecOptions profiled = options;
+  profiled.profile = profile;
+  TPSET_RETURN_NOT_OK(exec.Execute(query, profiled).status());
   std::ostringstream out;
   out << "query: " << QueryToString(query) << "\n";
   if (options.num_threads > 1) {
@@ -136,13 +88,7 @@ Result<std::string> ExplainQuery(const QueryExecutor& exec,
                                                      : "bit-identical")
         << "\n";
   }
-  obs::Span& root = profile->root();
-  obs::SpanTimer timer(&root);
-  Result<TpRelation> result = ExplainNode(exec, query, parallel, lane, &root);
-  timer.Stop();
-  if (!result.ok()) return result.status();
-  root.SetAttr("out", result->size());
-  out << RenderExplainPlan(root);
+  out << RenderExplainPlan(profile->root());
   bool non_repeating = IsNonRepeating(query);
   out << "non-repeating: " << (non_repeating ? "yes" : "no")
       << " -> valuation: "

@@ -1,9 +1,10 @@
-// EXPLAIN for TP set queries: executes the plan bottom-up, recording one
-// trace span per plan node (obs/profile.h), and renders every annotation —
-// cardinalities, LAWA window counts against the Proposition 1 bound, phase
-// walls, scheduler counters, the recommended probability-valuation method —
-// from that span tree. Sequential and parallel explains share the recorder
-// and renderer; only the "parallel:" config header differs.
+// EXPLAIN for TP set queries: executes the plan through QueryExecutor's one
+// evaluator with a QueryProfile (one trace span per plan node, obs/profile.h)
+// and renders every annotation — cardinalities, LAWA window counts against
+// the Proposition 1 bound, phase walls, scheduler counters, the recommended
+// probability-valuation method — from that span tree. Sequential and
+// parallel explains share the evaluator and renderer; only the "parallel:"
+// config header differs.
 #ifndef TPSET_QUERY_EXPLAIN_H_
 #define TPSET_QUERY_EXPLAIN_H_
 
@@ -25,7 +26,8 @@ namespace tpset {
 ///       relation b  [2 tuples]
 ///   non-repeating: yes -> valuation: read-once (linear, exact)
 ///
-/// The query is actually executed (with LAWA), so the numbers are exact.
+/// The query is actually executed (with LAWA, as an Execute that counts in
+/// the executor's query metrics), so the numbers are exact.
 Result<std::string> ExplainQuery(const QueryExecutor& exec, const QueryNode& query);
 
 /// Parses, then explains.
@@ -40,8 +42,8 @@ Result<std::string> ExplainQuery(const QueryExecutor& exec,
 ///   except  [out=5, windows=8/9(bound), sort=0.01ms split=0.00ms
 ///            advance=0.05ms apply=0.02ms]
 ///
-/// `apply` is the sequential arena-mutating tail — the sequencer critical
-/// section under concurrent subtree evaluation; staged mode shrinks it.
+/// `apply` is the sequential arena-mutating tail of each operation; staged
+/// mode shrinks it.
 Result<std::string> ExplainQuery(const QueryExecutor& exec,
                                  const QueryNode& query,
                                  const ExecOptions& options);

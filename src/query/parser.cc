@@ -1,5 +1,6 @@
 #include "query/parser.h"
 
+#include <algorithm>
 #include <cctype>
 
 namespace tpset {
@@ -30,7 +31,8 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   Result<QueryPtr> Parse() {
-    Result<QueryPtr> q = ParseUnionExcept();
+    std::size_t depth = 0;
+    Result<QueryPtr> q = ParseUnionExcept(&depth);
     if (!q.ok()) return q;
     SkipSpace();
     if (pos_ != text_.size()) {
@@ -52,47 +54,63 @@ class Parser {
     }
   }
 
-  Result<QueryPtr> ParseUnionExcept() {
-    Result<QueryPtr> left = ParseIntersect();
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        "query nests deeper than " + std::to_string(kMaxQueryDepth) +
+        " levels at offset " + std::to_string(pos_));
+  }
+
+  // Each Parse* sets *depth to the height of the tree it returns.
+  Result<QueryPtr> ParseUnionExcept(std::size_t* depth) {
+    Result<QueryPtr> left = ParseIntersect(depth);
     if (!left.ok()) return left;
     QueryPtr acc = std::move(*left);
     while (true) {
       char c = Peek();
       if (c != '|' && c != '-') break;
       ++pos_;
-      Result<QueryPtr> right = ParseIntersect();
+      std::size_t right_depth = 0;
+      Result<QueryPtr> right = ParseIntersect(&right_depth);
       if (!right.ok()) return right;
+      *depth = 1 + std::max(*depth, right_depth);
+      if (*depth > kMaxQueryDepth) return TooDeep();
       acc = QueryNode::SetOp(c == '|' ? SetOpKind::kUnion : SetOpKind::kExcept,
                              std::move(acc), std::move(*right));
     }
     return acc;
   }
 
-  Result<QueryPtr> ParseIntersect() {
-    Result<QueryPtr> left = ParseFactor();
+  Result<QueryPtr> ParseIntersect(std::size_t* depth) {
+    Result<QueryPtr> left = ParseFactor(depth);
     if (!left.ok()) return left;
     QueryPtr acc = std::move(*left);
     while (Peek() == '&') {
       ++pos_;
-      Result<QueryPtr> right = ParseFactor();
+      std::size_t right_depth = 0;
+      Result<QueryPtr> right = ParseFactor(&right_depth);
       if (!right.ok()) return right;
+      *depth = 1 + std::max(*depth, right_depth);
+      if (*depth > kMaxQueryDepth) return TooDeep();
       acc = QueryNode::SetOp(SetOpKind::kIntersect, std::move(acc),
                              std::move(*right));
     }
     return acc;
   }
 
-  Result<QueryPtr> ParseFactor() {
+  Result<QueryPtr> ParseFactor(std::size_t* depth) {
     char c = Peek();
     if (c == '(') {
+      // Checked before descending: the recursion itself is what overflows.
+      if (++nesting_ > kMaxQueryDepth) return TooDeep();
       ++pos_;
-      Result<QueryPtr> inner = ParseUnionExcept();
+      Result<QueryPtr> inner = ParseUnionExcept(depth);
       if (!inner.ok()) return inner;
       if (Peek() != ')') {
         return Status::InvalidArgument("expected ')' at offset " +
                                        std::to_string(pos_) + " in '" + text_ + "'");
       }
       ++pos_;
+      --nesting_;
       return inner;
     }
     SkipSpace();
@@ -106,11 +124,13 @@ class Parser {
       return Status::InvalidArgument("expected relation name at offset " +
                                      std::to_string(start) + " in '" + text_ + "'");
     }
+    *depth = 1;
     return QueryNode::Relation(text_.substr(start, pos_ - start));
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t nesting_ = 0;  // open parentheses around pos_
 };
 
 }  // namespace

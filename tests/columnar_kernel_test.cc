@@ -328,8 +328,7 @@ TEST(ColumnarKernelTest, ParallelEightThreadsEqualsScalarReference) {
     auto [r, s] = make_pair(ctx);
     TpRelation expected = testing::ScalarLawaSetOp(op, ro, so);
     LawaStats stats;
-    TpRelation out = algo.ComputeSequenced(op, r, s, /*seq=*/nullptr,
-                                           /*ticket=*/0, &stats);
+    TpRelation out = algo.ComputeSequenced(op, r, s, &stats);
     EXPECT_EQ(stats.sweeps_columnar, stats.morsels_run);
     ASSERT_EQ(out.size(), expected.size());
     for (std::size_t i = 0; i < out.size(); ++i) {

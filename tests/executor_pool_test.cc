@@ -2,12 +2,16 @@
 // — parallel Execute, parallel EXPLAIN, continuous-query delta applies,
 // background compaction steps and Retain merges — shares one pool that
 // grows to the widest width any call asked for, read from the
-// tpset_pool_workers gauge; results still equal a sequential Execute. And
-// the executor can be destroyed while a background compaction step it
-// scheduled is still queued or running.
+// tpset_pool_workers gauge; results still equal a sequential Execute. A
+// parallel Execute walks its plan on the calling thread and starts no
+// thread per plan node. And the executor can be destroyed while a
+// background compaction step it scheduled is still queued or running.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -16,6 +20,7 @@
 #include "common/random.h"
 #include "datagen/synthetic.h"
 #include "incremental/delta.h"
+#include "lawa/set_ops.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
 #include "query/explain.h"
@@ -112,6 +117,64 @@ TEST(ExecutorPoolTest, OnePoolGrowsToWidestWidth) {
     EXPECT_EQ(parallel->tuples(), oneshot->tuples());
   }
   EXPECT_EQ(PoolWorkers(), workers_before) << "destruction joins the pool";
+}
+
+// Threads of this process, from /proc/self/status (-1 where unreadable).
+std::int64_t ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoll(line.substr(8));
+  }
+  return -1;
+}
+
+// Sequential LAWA under a foreign name, recording the peak thread count of
+// the process seen by any of its Compute calls.
+class ThreadProbeAlgorithm final : public SetOpAlgorithm {
+ public:
+  std::string name() const override { return "LAWA-probe"; }
+  bool Supports(SetOpKind) const override { return true; }
+  TpRelation Compute(SetOpKind op, const TpRelation& r,
+                     const TpRelation& s) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      peak_ = std::max(peak_, ProcessThreads());
+    }
+    return LawaSetOp(op, r, s);
+  }
+  std::int64_t peak() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::int64_t peak_ = -1;
+};
+
+// A 64-operator plan at num_threads = 4 runs with at most the pool's 4
+// workers (plus slack for process-wide helpers) on top of the threads alive
+// before the call: plan nodes are evaluated on the calling thread, never on
+// a thread of their own.
+TEST(ExecutorPoolTest, ParallelExecuteStartsNoThreadPerPlanNode) {
+  QueryExecutor exec(std::make_shared<TpContext>());
+  RegisterPair(&exec, 0x7EAD);
+  std::string query = "r";
+  for (int i = 0; i < 64; ++i) query += i % 2 == 0 ? " | s" : " - r";
+  const ThreadProbeAlgorithm probe;
+  Result<TpRelation> sequential = exec.Execute(query, &probe);
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+
+  const std::int64_t before = ProcessThreads();
+  ASSERT_GT(before, 0) << "no Threads: line in /proc/self/status";
+  ExecOptions four;
+  four.num_threads = 4;
+  Result<TpRelation> parallel = exec.Execute(query, four, &probe);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(parallel->tuples(), sequential->tuples());
+  EXPECT_LE(probe.peak(), before + 4 + 2)
+      << "threads before the call: " << before;
 }
 
 // Destroying the executor right after an append that scheduled a background

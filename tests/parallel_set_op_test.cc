@@ -168,7 +168,7 @@ TEST(ParallelSetOpTest, StatsMatchSequential) {
     LawaStats seq_stats, par_stats;
     LawaSetOp(op, r, s, SortMode::kComparison, &seq_stats);
     ParallelSetOpAlgorithm par(4);
-    par.ComputeSequenced(op, r, s, nullptr, 0, &par_stats);
+    par.ComputeSequenced(op, r, s, &par_stats);
     // Candidate windows: a partition whose other input is empty skips the
     // dead (always-filtered) windows the sequential global sweep still
     // produces, so parallel counts at most the sequential number; the

@@ -9,7 +9,6 @@
 
 #include "common/random.h"
 #include "parallel/partition.h"
-#include "parallel/sequencer.h"
 #include "parallel/thread_pool.h"
 
 namespace tpset {
@@ -62,29 +61,6 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
     }
   }  // join here
   EXPECT_EQ(ran.load(), 50);
-}
-
-// ---- ApplySequencer ----
-
-TEST(ApplySequencerTest, AdmitsTicketsInOrder) {
-  ApplySequencer seq;
-  ThreadPool pool(4);
-  std::vector<int> order;
-  std::mutex order_mu;
-  std::vector<std::future<void>> futures;
-  // Submit out of order; the sequencer must still admit 0,1,2,3.
-  for (std::size_t t : {3u, 1u, 0u, 2u}) {
-    futures.push_back(pool.Submit([&, t]() {
-      seq.WaitTurn(t);
-      {
-        std::lock_guard<std::mutex> lock(order_mu);
-        order.push_back(static_cast<int>(t));
-      }
-      seq.Done(t);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 // ---- FactRangePartitioner ----

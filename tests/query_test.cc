@@ -54,6 +54,42 @@ TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("| a").ok());
 }
 
+// Query text nested or chained past kMaxQueryDepth is an InvalidArgument,
+// never a stack overflow in the parser or in the tree's destructor.
+TEST(QueryParserTest, DeepNestingIsAStatusNotACrash) {
+  const std::string nested =
+      std::string(100000, '(') + "a" + std::string(100000, ')');
+  Result<QueryPtr> q = ParseQuery(nested);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(QueryParserTest, LongChainIsAStatusNotACrash) {
+  std::string chain = "a";
+  for (int i = 0; i < 100000; ++i) chain += i % 2 == 0 ? " | a" : " & a";
+  Result<QueryPtr> q = ParseQuery(chain);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(QueryParserTest, PlansUpToTheDepthCapParse) {
+  // kMaxQueryDepth - 1 operators: kMaxQueryDepth nodes root to leaf.
+  std::string chain = "a";
+  for (std::size_t i = 1; i < kMaxQueryDepth; ++i) chain += " - b";
+  Result<QueryPtr> q = ParseQuery(chain);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(OperatorCount(**q), kMaxQueryDepth - 1);
+  EXPECT_EQ(QueryToString(**q), chain);
+  EXPECT_FALSE(ParseQuery(chain + " - b").ok());
+
+  const std::string open(kMaxQueryDepth, '(');
+  const std::string close(kMaxQueryDepth, ')');
+  Result<QueryPtr> nested = ParseQuery(open + "a | b" + close);
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(QueryToString(**nested), "a | b");
+  EXPECT_FALSE(ParseQuery("(" + open + "a | b" + close + ")").ok());
+}
+
 // ---- analyzer ----
 
 TEST(QueryAnalyzerTest, NonRepeatingDetection) {

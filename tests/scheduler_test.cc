@@ -401,7 +401,6 @@ TEST(SchedulerEngineTest, OneHotFactBitIdenticalWithSplitting) {
                               ApplyMode::kBitIdentical, /*morsel_size=*/64);
   obs::Span span;
   TpRelation par = algo.ComputeSequenced(SetOpKind::kUnion, r, s,
-                                         /*seq=*/nullptr, /*ticket=*/0,
                                          /*stats=*/nullptr, &span);
 
   ASSERT_EQ(par.size(), seq.size());

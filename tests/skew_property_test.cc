@@ -211,7 +211,6 @@ TEST(SkewPropertyTest, SplitterEngagesOnHotFact) {
                               /*morsel_size=*/32);
   obs::Span span;
   TpRelation out = algo.ComputeSequenced(SetOpKind::kIntersect, r, s,
-                                         /*seq=*/nullptr, /*ticket=*/0,
                                          /*stats=*/nullptr, &span);
   (void)out;
   EXPECT_GE(span.stats.facts_split, 1u);

@@ -138,10 +138,9 @@ TEST(ZeroSortFastPathTest, ParallelSkipsSortedInputsBitIdentically) {
   for (SetOpKind op : kAllSetOps) {
     LawaStats fast_stats, slow_stats;
     TpRelation expected = LawaSetOp(op, r, s);
-    TpRelation fast = par.ComputeSequenced(op, r, s, nullptr, 0, &fast_stats);
+    TpRelation fast = par.ComputeSequenced(op, r, s, &fast_stats);
     TpRelation slow = par.ComputeSequenced(op, WithoutWitness(r),
-                                           WithoutWitness(s), nullptr, 0,
-                                           &slow_stats);
+                                           WithoutWitness(s), &slow_stats);
     EXPECT_EQ(fast_stats.sort_skipped, 2u);
     EXPECT_EQ(slow_stats.sort_skipped, 0u);
     ExpectBitIdentical(expected, fast);

@@ -2,7 +2,7 @@
 // sequential splice must yield tuple-for-tuple equal (fact, interval) output
 // in the same order as sequential LAWA, with probability-equal lineage
 // (valuation via lineage/eval.cc) — across skewed, single-fact,
-// shared-context/derived-input, and concurrent-subtree scenarios. Staged
+// shared-context/derived-input, and whole-query scenarios. Staged
 // node *ids* may differ from the sequential interning order; everything
 // observable through valuation and canonical keys may not.
 #include <gtest/gtest.h>
@@ -265,7 +265,7 @@ TEST(StagedApplyTest, StagingArenaLocalConsingAndFolds) {
   EXPECT_NE(remap[a1 - frozen], direct);
 }
 
-// ---- Executor integration: concurrent subtrees under staged apply ----
+// ---- Executor integration: whole queries under staged apply ----
 
 class StagedExecutorTest : public ::testing::Test {
  protected:
@@ -304,9 +304,9 @@ TEST_F(StagedExecutorTest, WholeTreeEquivalentToSequentialExecution) {
 }
 
 TEST_F(StagedExecutorTest, RepeatedStagedRunsAreStable) {
-  // Concurrent subtrees race on scheduling but the sequencer serializes all
-  // arena mutations in ticket order — repeated staged runs in one context
-  // must agree structurally (the bulk-append splice assigns fresh node ids
+  // Morsels race on scheduling but each operation splices its staged cells
+  // in morsel order, one operation at a time — repeated staged runs in one
+  // context must agree structurally (the bulk-append splice assigns fresh node ids
   // each run, since the arena has grown; the formulas themselves, and
   // therefore canonical keys and probabilities, may not change).
   ExecOptions options;
